@@ -1,28 +1,19 @@
-// Per-alert factor-graph inference cost at pipeline scale: the cold
-// full-re-inference baseline (build_entity_graph + run_bp per alert, the
-// infer_entity hot path) vs fg::EntityBatchBp's cached-message residual
-// schedule, swept across tracked-entity counts. Every sweep drives one
-// randomized multi-entity alert stream through three implementations:
+// Per-alert cost of exact entity inference at pipeline scale: one
+// fg::EntityFilter per tracked entity (what FactorGraphDetector's entity
+// mode keeps), driven by a structured multi-entity alert stream and swept
+// across tracked-entity counts.
 //
-//   * full        — for sampled alerts, rebuild the entity graph over the
-//                   full history and flood to convergence (workspace
-//                   reused, so the cost is inference + graph build, not
-//                   allocation)
-//   * incremental — EntityBatchBp::observe per alert (edge-scoped
-//                   re-propagation over cached posteriors)
-//   * batch       — EntityBatchBp::observe_batch in 256-alert spans (the
-//                   amortized multi-entity path the session pipeline uses)
-//
-// A divergence oracle replays a sample of entities through a second
-// engine in full-flooding mode (every message recomputed per alert over
-// the same warm state — full BP without edge-scoping) and the bench exits
-// nonzero if any posterior differs by more than 1e-6. Cold-rebuild
-// equivalence is oracle-tested separately (test_fg_incremental.cpp) at
-// histories below loopy BP's bimodal regime; see docs/perf.md.
+// Correctness gate, in the same run: sampled entity histories are cut to
+// prefixes of at most 10 alerts, replayed through a fresh filter, and
+// compared with exact enumeration of the entity factor graph
+// (enumerate_exact over build_entity_graph). The bench exits nonzero if
+// any posterior differs by more than 1e-9.
 //
 // Standalone main (not google-benchmark): the artifact is a machine-
-// readable JSON file (default BENCH_fg.json at the repo root).
+// readable JSON file (default BENCH_fg.json at the repo root) with a
+// `machine` block naming the hardware and build it ran on.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -31,10 +22,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fg/bp.hpp"
-#include "fg/entity_bp.hpp"
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
 #include "util/rng.hpp"
@@ -43,6 +34,10 @@ namespace {
 
 using namespace at;
 using Clock = std::chrono::steady_clock;
+
+constexpr double kGate = 1e-9;
+constexpr std::size_t kMaxPrefix = 10;  ///< enumerate_exact's entity-graph limit
+constexpr std::size_t kOracleSamples = 12;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -54,12 +49,8 @@ struct Stream {
 };
 
 /// Structured multi-entity trace shaped like the testbed's: most entities
-/// produce benign-stage noise, a minority run attack campaigns with some
-/// benign chatter mixed in. Coherent per-entity evidence is both the
-/// realistic regime and the one where the loopy entity model is
-/// well-posed; uniformly random types would instead drive every posterior
-/// toward the balanced-evidence region where loopy BP itself is bimodal
-/// (see docs/perf.md).
+/// produce benign-stage noise, a minority (15%) run attack campaigns with
+/// some benign chatter mixed in.
 Stream make_stream(std::size_t entities, std::size_t alerts, std::uint64_t seed) {
   std::vector<alerts::AlertType> benign_pool;
   std::vector<alerts::AlertType> attack_pool;
@@ -97,14 +88,37 @@ Stream make_stream(std::size_t entities, std::size_t alerts, std::uint64_t seed)
 struct SweepResult {
   std::size_t entities = 0;
   std::size_t alerts = 0;
-  double full_us_per_alert = 0.0;
-  double incremental_us_per_alert = 0.0;
-  double batch_us_per_alert = 0.0;
-  double speedup = 0.0;
+  double us_per_alert = 0.0;
   double alerts_per_s = 0.0;
-  double max_divergence = 0.0;
-  bool oracle_ok = true;
+  double mean_p_malicious = 0.0;
+  std::size_t oracle_prefixes = 0;
+  double max_error = 0.0;
 };
+
+/// Exactness gate: histories of sampled entities, cut to prefixes of up to
+/// kMaxPrefix alerts, through a fresh filter vs exact enumeration.
+void run_oracle(const std::shared_ptr<const fg::CompiledParams>& compiled, const Stream& stream,
+                std::size_t entities, SweepResult& result) {
+  const std::size_t stride = std::max<std::size_t>(1, entities / kOracleSamples);
+  std::vector<std::vector<alerts::AlertType>> history(entities);
+  for (std::size_t i = 0; i < stream.entity.size(); ++i) {
+    const std::uint32_t e = stream.entity[i];
+    if (e % stride == 0 && history[e].size() < kMaxPrefix) history[e].push_back(stream.type[i]);
+  }
+  for (std::size_t e = 0; e < entities; e += stride) {
+    if (history[e].empty()) continue;
+    // Vary the prefix length across samples so short and long prefixes
+    // are both checked.
+    const std::size_t length = std::min(history[e].size(), 1 + (e / stride * 7) % kMaxPrefix);
+    const std::span<const alerts::AlertType> prefix(history[e].data(), length);
+    fg::EntityFilter filter(compiled);
+    for (const alerts::AlertType type : prefix) filter.observe(type);
+    const auto exact = fg::enumerate_exact(fg::build_entity_graph(compiled->params, prefix));
+    result.max_error =
+        std::max(result.max_error, std::fabs(filter.p_malicious() - exact.marginals.back()[1]));
+    ++result.oracle_prefixes;
+  }
+}
 
 SweepResult run_sweep(const std::shared_ptr<const fg::CompiledParams>& compiled,
                       std::size_t entities, std::size_t per_entity) {
@@ -113,100 +127,47 @@ SweepResult run_sweep(const std::shared_ptr<const fg::CompiledParams>& compiled,
   result.alerts = entities * per_entity;
   const Stream stream = make_stream(entities, result.alerts, 0x5eed + entities);
 
-  // --- full baseline, sampled: per-alert cost of re-inferring the whole
-  // history from scratch (what the detector paid before caching).
-  {
-    std::vector<std::vector<alerts::AlertType>> hist(entities);
-    fg::BpWorkspace workspace;
-    fg::BpResult bp;
-    fg::BpOptions options;
-    options.damping = 0.3;
-    const std::size_t samples = 500;
-    const std::size_t stride = std::max<std::size_t>(1, result.alerts / samples);
-    double spent = 0.0;
-    std::size_t timed = 0;
-    for (std::size_t i = 0; i < result.alerts; ++i) {
-      auto& h = hist[stream.entity[i]];
-      h.push_back(stream.type[i]);
-      if (i % stride != 0) continue;
-      options.max_iterations = std::max<std::size_t>(50, 4 * h.size() + 20);
-      const auto start = Clock::now();
-      const fg::FactorGraph graph = fg::build_entity_graph(compiled->params, h);
-      fg::run_bp(graph, options, workspace, bp);
-      spent += seconds_since(start);
-      ++timed;
-    }
-    result.full_us_per_alert = spent * 1e6 / static_cast<double>(timed);
+  std::vector<fg::EntityFilter> filters(entities, fg::EntityFilter(compiled));
+  double p_sum = 0.0;
+  const auto start = Clock::now();
+  for (std::size_t i = 0; i < result.alerts; ++i) {
+    p_sum += filters[stream.entity[i]].observe(stream.type[i]);
   }
+  const double spent = seconds_since(start);
+  result.us_per_alert = spent * 1e6 / static_cast<double>(result.alerts);
+  result.alerts_per_s = static_cast<double>(result.alerts) / spent;
+  result.mean_p_malicious = p_sum / static_cast<double>(result.alerts);
 
-  // --- incremental: every alert through the cached-message engine.
-  fg::EntityBpOptions inc_options;
-  inc_options.damping = 0.0;
-  fg::EntityBatchBp engine(compiled, inc_options);
-  {
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < result.alerts; ++i) {
-      engine.observe(stream.entity[i], stream.type[i]);
-    }
-    const double spent = seconds_since(start);
-    result.incremental_us_per_alert = spent * 1e6 / static_cast<double>(result.alerts);
-    result.alerts_per_s = static_cast<double>(result.alerts) / spent;
-  }
-
-  // --- batch: same stream, 256-alert spans through observe_batch.
-  {
-    fg::EntityBatchBp batched(compiled, inc_options);
-    std::vector<fg::EntityBatchBp::Update> updates;
-    updates.reserve(256);
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < result.alerts; i += 256) {
-      updates.clear();
-      const std::size_t end = std::min(result.alerts, i + 256);
-      for (std::size_t j = i; j < end; ++j) {
-        updates.push_back({stream.entity[j], stream.type[j]});
-      }
-      batched.observe_batch(updates);
-    }
-    result.batch_us_per_alert =
-        seconds_since(start) * 1e6 / static_cast<double>(result.alerts);
-  }
-
-  // --- divergence oracle: sampled entities replayed alert-by-alert
-  // through full flooding over the same warm state; final posteriors must
-  // match the residual schedule's.
-  {
-    fg::EntityBpOptions flood_options;
-    flood_options.residual = false;
-    flood_options.damping = 0.3;  // synchronous sweeps need damping
-    flood_options.max_iterations = 500;
-    fg::EntityBatchBp flooding(compiled, flood_options);
-    const std::size_t oracle_entities = std::min<std::size_t>(entities, 200);
-    for (std::size_t i = 0; i < result.alerts; ++i) {
-      if (stream.entity[i] < oracle_entities) {
-        flooding.observe(stream.entity[i], stream.type[i]);
-      }
-    }
-    for (std::size_t e = 0; e < oracle_entities; ++e) {
-      const auto* a = engine.posterior(e);
-      const auto* b = flooding.posterior(e);
-      if (a == nullptr || b == nullptr) continue;
-      result.max_divergence =
-          std::max(result.max_divergence, std::fabs(a->p_malicious - b->p_malicious));
-    }
-    result.oracle_ok = result.max_divergence <= 1e-6;
-  }
-
-  result.speedup = result.full_us_per_alert / result.incremental_us_per_alert;
+  run_oracle(compiled, stream, entities, result);
   return result;
+}
+
+/// HEAD's commit id read from the source tree's .git directory, or
+/// "unknown" outside a git checkout.
+std::string git_sha() {
+  const std::string git = std::string(AT_BENCH_SOURCE_DIR) + "/.git/";
+  std::ifstream head(git + "HEAD");
+  std::string line;
+  if (!std::getline(head, line)) return "unknown";
+  if (line.rfind("ref: ", 0) != 0) return line;
+  const std::string ref = line.substr(5);
+  std::ifstream loose(git + ref);
+  if (std::getline(loose, line)) return line;
+  std::ifstream packed(git + "packed-refs");
+  while (std::getline(packed, line)) {
+    if (line.size() > 41 && line.compare(41, std::string::npos, ref) == 0) {
+      return line.substr(0, 40);
+    }
+  }
+  return "unknown";
 }
 
 void emit_json(std::ostringstream& json, const SweepResult& s, bool last) {
   json << "    {\"entities\": " << s.entities << ", \"alerts\": " << s.alerts
-       << ", \"full_us_per_alert\": " << s.full_us_per_alert
-       << ", \"incremental_us_per_alert\": " << s.incremental_us_per_alert
-       << ", \"batch_us_per_alert\": " << s.batch_us_per_alert
-       << ", \"speedup\": " << s.speedup << ", \"alerts_per_s\": " << s.alerts_per_s
-       << ", \"max_divergence\": " << s.max_divergence << "}" << (last ? "\n" : ",\n");
+       << ", \"us_per_alert\": " << s.us_per_alert << ", \"alerts_per_s\": " << s.alerts_per_s
+       << ", \"mean_p_malicious\": " << s.mean_p_malicious
+       << ", \"oracle_prefixes\": " << s.oracle_prefixes
+       << ", \"max_exact_error\": " << s.max_error << "}" << (last ? "\n" : ",\n");
 }
 
 }  // namespace
@@ -236,22 +197,27 @@ int main(int argc, char** argv) {
   for (const std::size_t entities : entity_counts) {
     const SweepResult sweep = run_sweep(compiled, entities, per_entity);
     std::printf(
-        "entities %8zu: full %8.2f us/alert, incremental %6.3f us/alert "
-        "(%.1fx, %.0f alerts/s), batch %6.3f us/alert, divergence %.2e\n",
-        sweep.entities, sweep.full_us_per_alert, sweep.incremental_us_per_alert,
-        sweep.speedup, sweep.alerts_per_s, sweep.batch_us_per_alert,
-        sweep.max_divergence);
-    oracle_ok = oracle_ok && sweep.oracle_ok;
+        "entities %8zu: %.4f us/alert (%.0f alerts/s, mean posterior %.3f), "
+        "%zu prefixes vs enumerate_exact, max error %.2e\n",
+        sweep.entities, sweep.us_per_alert, sweep.alerts_per_s, sweep.mean_p_malicious,
+        sweep.oracle_prefixes, sweep.max_error);
+    oracle_ok = oracle_ok && sweep.max_error <= kGate;
     sweeps.push_back(sweep);
   }
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"fg_inference\",\n  \"alerts_per_entity\": " << per_entity
+  json << "{\n  \"bench\": \"fg_inference\",\n  \"engine\": \"fg::EntityFilter\",\n"
+       << "  \"machine\": {\"nproc\": " << std::thread::hardware_concurrency()
+       << ", \"compiler\": \"" << AT_BENCH_COMPILER << "\", \"build_type\": \""
+       << AT_BENCH_BUILD_TYPE << "\", \"git_sha\": \"" << git_sha() << "\"},\n"
+       << "  \"alerts_per_entity\": " << per_entity
+       << ",\n  \"state_bytes_per_entity\": " << sizeof(fg::EntityFilter)
        << ",\n  \"sweeps\": [\n";
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
     emit_json(json, sweeps[i], i + 1 == sweeps.size());
   }
-  json << "  ],\n  \"oracle_ok\": " << (oracle_ok ? "true" : "false") << "\n}\n";
+  json << "  ],\n  \"oracle_gate\": " << kGate << ",\n  \"oracle_ok\": "
+       << (oracle_ok ? "true" : "false") << "\n}\n";
 
   std::ofstream out(out_path);
   out << json.str();

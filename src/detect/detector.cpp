@@ -5,14 +5,6 @@
 
 namespace at::detect {
 
-namespace {
-// Entity modes converge their messages this far so both inference engines
-// land on posteriors within ~1e-9 of each other: a verdict may sit near
-// the firing threshold, and the full/incremental verdict streams must be
-// identical, not merely close.
-constexpr double kEntityTolerance = 1e-12;
-}  // namespace
-
 std::optional<Detection> CriticalAlertDetector::observe(const alerts::Alert& alert,
                                                         std::size_t index) {
   if (fired_ || !alert.critical()) return std::nullopt;
@@ -97,19 +89,8 @@ FactorGraphDetector::FactorGraphDetector(std::shared_ptr<const fg::CompiledParam
       stage_(stage),
       use_timing_(use_timing),
       inference_(inference),
-      coupling_(coupling),
       filter_(compiled) {
-  if (inference_ != FgInference::kForwardFilter) {
-    fg::EntityBpOptions options;
-    options.coupling = coupling_;
-    options.tolerance = kEntityTolerance;
-    options.max_iterations = 500;
-    options.residual = inference_ == FgInference::kEntityIncremental;
-    // Synchronous flooding needs damping to converge on the loopy entity
-    // graph; the residual schedule is asynchronous and runs undamped.
-    if (!options.residual) options.damping = 0.3;
-    entity_.emplace(std::move(compiled), options);
-  }
+  if (inference_ == FgInference::kEntityIncremental) entity_.emplace(compiled, coupling);
 }
 
 FactorGraphDetector FactorGraphDetector::train(const incidents::Corpus& training,
@@ -119,46 +100,32 @@ FactorGraphDetector FactorGraphDetector::train(const incidents::Corpus& training
 }
 
 std::string FactorGraphDetector::name() const {
-  switch (inference_) {
-    case FgInference::kEntityFull:
-      return "factor-graph-entity-full";
-    case FgInference::kEntityIncremental:
-      return "factor-graph-entity-inc";
-    case FgInference::kForwardFilter:
-      break;
-  }
-  return use_timing_ ? "factor-graph-timed" : "factor-graph";
+  const std::string base = entity_ ? "factor-graph-entity-inc" : "factor-graph";
+  return use_timing_ ? base + "-timed" : base;
 }
 
 void FactorGraphDetector::reset() {
   filter_.reset();
+  if (entity_) entity_->reset();
   last_ts_.reset();
   fired_ = false;
-  if (entity_) entity_->clear();
-}
-
-double FactorGraphDetector::entity_posterior(alerts::AlertType type) {
-  // Both entity modes run the same engine over the same cached state; the
-  // constructor selected residual (edge-scoped) vs flooding (recompute
-  // everything) scheduling.
-  return entity_->observe(0, type).p_malicious;
 }
 
 std::optional<Detection> FactorGraphDetector::observe(const alerts::Alert& alert,
                                                       std::size_t index) {
   if (fired_) return std::nullopt;
+  std::optional<fg::GapBucket> gap;
+  if (use_timing_ && last_ts_) gap = fg::bucket_for_gap(alert.ts - *last_ts_);
+  last_ts_ = alert.ts;
   double p = 0.0;
   std::string quantity;
-  if (inference_ == FgInference::kForwardFilter) {
-    std::optional<fg::GapBucket> gap;
-    if (use_timing_ && last_ts_) gap = fg::bucket_for_gap(alert.ts - *last_ts_);
-    last_ts_ = alert.ts;
+  if (entity_) {
+    p = entity_->observe(alert.type, gap);
+    quantity = "P(malicious)";
+  } else {
     filter_.observe(alert.type, gap);
     p = filter_.p_at_least(stage_);
     quantity = "P(stage>=" + std::string(alerts::to_string(stage_)) + ")";
-  } else {
-    p = entity_posterior(alert.type);
-    quantity = "P(malicious)";
   }
   if (p >= threshold_) {
     fired_ = true;

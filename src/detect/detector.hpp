@@ -19,11 +19,9 @@
 #include <vector>
 
 #include "alerts/alert.hpp"
-#include "fg/bp.hpp"
-#include "util/annotations.hpp"
-#include "fg/entity_bp.hpp"
 #include "fg/model.hpp"
 #include "incidents/incident.hpp"
+#include "util/annotations.hpp"
 
 namespace at::detect {
 
@@ -125,26 +123,19 @@ enum class FgInference : std::uint8_t {
   /// Streaming forward filter on the chain (the default; O(stages^2) per
   /// alert, no entity variable).
   kForwardFilter,
-  /// Entity-augmented loopy model with EVERY message re-propagated to
-  /// convergence per alert (full flooding sweeps over the cached state) —
-  /// the control the incremental mode's verdict stream is oracle-checked
-  /// against. Cold re-inference from scratch (infer_entity) is NOT used
-  /// here: on long balanced-evidence histories loopy BP is bimodal and a
-  /// cold start can land in a different fixed-point basin than any
-  /// warm-started schedule, full or incremental alike.
-  kEntityFull,
-  /// Entity-augmented model with cached messages and edge-scoped
-  /// re-propagation (fg::EntityBatchBp): per-alert cost is the residual
-  /// schedule's, not the history's.
+  /// Entity-augmented model (chain + binary user state U), inferred
+  /// exactly and incrementally by fg::EntityFilter: two forward passes,
+  /// one per value of U, O(1) state per entity and no history. Fires on
+  /// P(U = malicious).
   kEntityIncremental,
 };
 
 /// AttackTagger: factor-graph stage inference with a posterior threshold.
-/// With `use_timing` the forward filter also conditions on inter-alert gap
+/// With `use_timing` either engine also conditions on inter-alert gap
 /// buckets (Insight 3: probe bursts vs manual-stage pauses are themselves
-/// evidence; the entity modes ignore timing, matching infer_entity).
-/// Entity modes fire on P(user-state = malicious) instead of the staged
-/// posterior; `coupling` is the U<->stage consistency strength.
+/// evidence). The entity mode fires on P(user-state = malicious) instead
+/// of the staged posterior; `coupling` is the U<->stage consistency
+/// strength.
 class FactorGraphDetector final : public Detector {
  public:
   FactorGraphDetector(fg::ModelParams params, double threshold = 0.75,
@@ -173,19 +164,15 @@ class FactorGraphDetector final : public Detector {
       AT_HOT;
 
  private:
-  [[nodiscard]] double entity_posterior(alerts::AlertType type);
-
   double threshold_;
   alerts::AttackStage stage_;
   bool use_timing_;
   FgInference inference_;
-  double coupling_;
   fg::ForwardFilter filter_;
   std::optional<util::SimTime> last_ts_;
   bool fired_ = false;
-  /// Entity-mode engine; engaged for both entity inference modes, with the
-  /// schedule (residual vs full flooding) selected by `inference_`.
-  std::optional<fg::EntityBatchBp> entity_;
+  /// Entity-mode engine; engaged only for kEntityIncremental.
+  std::optional<fg::EntityFilter> entity_;
 };
 
 }  // namespace at::detect

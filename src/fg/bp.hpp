@@ -10,10 +10,9 @@
 //     warmed up to the largest graph it has seen (verified by an
 //     allocation-count test).
 //
-// The workspace's SoA edge layout (flat message pools indexed by an edge
-// table instead of vector<vector<Edge>>) is shared with fg::IncrementalBp,
-// which keeps the same arrays alive across updates instead of rebuilding
-// them per call.
+// The online detectors do not run BP: the chain and the entity model both
+// have exact forward filters (fg/model.hpp). run_bp is the offline path
+// over general graphs.
 
 #include <cstdint>
 #include <vector>

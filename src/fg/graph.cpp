@@ -30,14 +30,6 @@ FactorId FactorGraph::add_factor(std::vector<VarId> scope, std::vector<double> l
   return id;
 }
 
-void FactorGraph::set_factor_table(FactorId id, std::vector<double> log_table) {
-  auto& factor = factors_.at(id);
-  if (log_table.size() != factor.log_table.size()) {
-    throw std::invalid_argument("set_factor_table: table size mismatch");
-  }
-  factor.log_table = std::move(log_table);
-}
-
 double FactorGraph::joint_log_score(std::span<const std::size_t> assignment) const {
   if (assignment.size() != variables_.size()) {
     throw std::invalid_argument("joint_log_score: assignment size mismatch");

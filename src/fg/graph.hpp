@@ -49,11 +49,6 @@ class FactorGraph {
     return var_factors_.at(id);
   }
 
-  /// Replace a factor's log-table in place (scope and table size are
-  /// fixed). This is the mutation hook that pairs with
-  /// IncrementalBp::invalidate_factor for edge-scoped re-inference.
-  void set_factor_table(FactorId id, std::vector<double> log_table);
-
   /// Joint log-probability (unnormalized) of a full assignment.
   [[nodiscard]] double joint_log_score(std::span<const std::size_t> assignment) const;
 

@@ -25,6 +25,54 @@ void normalize_rows(std::vector<double>& counts, std::size_t rows, std::size_t c
   }
 }
 
+/// Log-potential of the U<->stage coupling factor: an attack stage is
+/// inconsistent with a legitimate user (U = 0), a pre-attack stage with a
+/// malicious one (U = 1).
+double coupling_log(std::size_t stage, std::size_t user, double coupling) {
+  const bool attack_stage = stage >= static_cast<std::size_t>(alerts::AttackStage::kInProgress);
+  return attack_stage == (user == 1) ? 0.0 : -coupling;
+}
+
+/// Emission multiplier of a chain without coupling: multiplying by 1.0 is
+/// exact, so ForwardFilter's posteriors are bit-identical to the unshared
+/// recurrence.
+constexpr double kNoCoupling[kStages] = {1.0, 1.0, 1.0, 1.0};
+
+/// One step of the chain's forward recurrence on the compiled tables: the
+/// predicted stage distribution (the prior at the first event) times the
+/// emission of `type`, times the per-stage `coupling` row, times the gap
+/// term after the first event. Normalizes into `belief` and returns the
+/// normalizer; an all-zero likelihood (an impossible observation under
+/// the model) returns 0 and keeps the previous belief rather than
+/// dividing by zero.
+double forward_step(const CompiledParams& c, double* belief, bool first,
+                    alerts::AlertType type, std::optional<GapBucket> gap,
+                    const double* coupling) {
+  const std::size_t t = static_cast<std::size_t>(type);
+  double next[kStages];
+  if (first) {
+    for (std::size_t s = 0; s < kStages; ++s) {
+      next[s] = c.prior[s] * c.emission[s * kTypes + t] * coupling[s];
+    }
+  } else {
+    for (std::size_t s = 0; s < kStages; ++s) {
+      double predicted = 0.0;
+      for (std::size_t p = 0; p < kStages; ++p) {
+        predicted += belief[p] * c.transition[p * kStages + s];
+      }
+      next[s] = predicted * c.emission[s * kTypes + t] * coupling[s];
+      if (gap && !c.gap.empty()) {
+        next[s] *= c.gap[s * kNumGapBuckets + static_cast<std::size_t>(*gap)];
+      }
+    }
+  }
+  double total = 0.0;
+  for (const double v : next) total += v;
+  if (total <= 0.0) return 0.0;
+  for (std::size_t s = 0; s < kStages; ++s) belief[s] = next[s] / total;
+  return total;
+}
+
 }  // namespace
 
 GapBucket bucket_for_gap(util::SimTime gap) noexcept {
@@ -138,37 +186,7 @@ void ForwardFilter::reset() {
 
 const std::vector<double>& ForwardFilter::observe(alerts::AlertType type,
                                                   std::optional<GapBucket> gap) {
-  // Same recurrence as before compilation, on the pre-exponentiated
-  // tables — factors and evaluation order are unchanged, so posteriors
-  // are bit-identical to the log-table implementation.
-  const CompiledParams& c = *compiled_;
-  const std::size_t t = static_cast<std::size_t>(type);
-  double next[kStages];
-  if (count_ == 0) {
-    for (std::size_t s = 0; s < kStages; ++s) {
-      next[s] = c.prior[s] * c.emission[s * alerts::kNumAlertTypes + t];
-    }
-  } else {
-    for (std::size_t s = 0; s < kStages; ++s) {
-      double predicted = 0.0;
-      for (std::size_t p = 0; p < kStages; ++p) {
-        predicted += belief_[p] * c.transition[p * kStages + s];
-      }
-      next[s] = predicted * c.emission[s * alerts::kNumAlertTypes + t];
-      if (gap && !c.gap.empty()) {
-        next[s] *= c.gap[s * kNumGapBuckets + static_cast<std::size_t>(*gap)];
-      }
-    }
-  }
-  double total = 0.0;
-  for (const double v : next) total += v;
-  if (total <= 0.0) {
-    // All-zero likelihood (impossible observation under the model): keep
-    // the previous belief rather than dividing by zero.
-    ++count_;
-    return belief_;
-  }
-  for (std::size_t s = 0; s < kStages; ++s) belief_[s] = next[s] / total;
+  forward_step(*compiled_, belief_.data(), count_ == 0, type, gap, kNoCoupling);
   ++count_;
   return belief_;
 }
@@ -179,6 +197,48 @@ double ForwardFilter::p_at_least(alerts::AttackStage stage) const {
     total += belief_[s];
   }
   return total;
+}
+
+EntityFilter::EntityFilter(std::shared_ptr<const CompiledParams> compiled, double coupling)
+    : compiled_(std::move(compiled)) {
+  for (std::size_t u = 0; u < 2; ++u) {
+    for (std::size_t s = 0; s < kStages; ++s) {
+      coupling_[u][s] = util::safe_exp(coupling_log(s, u, coupling));
+    }
+  }
+}
+
+void EntityFilter::reset() noexcept {
+  belief_ = {};
+  log_z_ = {};
+  count_ = 0;
+}
+
+double EntityFilter::observe(alerts::AlertType type, std::optional<GapBucket> gap) {
+  for (std::size_t u = 0; u < 2; ++u) {
+    const double total =
+        forward_step(*compiled_, belief_[u].data(), count_ == 0, type, gap, coupling_[u].data());
+    log_z_[u] += util::safe_log(total);
+  }
+  ++count_;
+  return p_malicious();
+}
+
+double EntityFilter::p_malicious() const noexcept {
+  // Softmax over log Z(u), evaluated on the side that cannot overflow.
+  const double d = log_z_[1] - log_z_[0];
+  if (d >= 0.0) return 1.0 / (1.0 + util::safe_exp(-d));
+  const double e = util::safe_exp(d);
+  return e / (1.0 + e);
+}
+
+std::array<double, kStages> EntityFilter::last_stage() const noexcept {
+  const double p = p_malicious();
+  std::array<double, kStages> out{};
+  for (std::size_t s = 0; s < kStages; ++s) {
+    out[s] = (1.0 - p) * belief_[0][s] + p * belief_[1][s];
+  }
+  return out;
 }
 
 std::vector<alerts::AttackStage> decode_stages(const ModelParams& params,
@@ -234,9 +294,7 @@ FactorGraph build_entity_graph(const ModelParams& params,
   // in_progress/compromised.
   std::vector<double> table(kStages * 2);
   for (std::size_t s = 0; s < kStages; ++s) {
-    const bool attack_stage = s >= static_cast<std::size_t>(alerts::AttackStage::kInProgress);
-    table[s * 2 + 0] = attack_stage ? -coupling : 0.0;  // U = legitimate
-    table[s * 2 + 1] = attack_stage ? 0.0 : -coupling;  // U = malicious
+    for (std::size_t u = 0; u < 2; ++u) table[s * 2 + u] = coupling_log(s, u, coupling);
   }
   for (VarId stage = 0; stage < static_cast<VarId>(observed.size()); ++stage) {
     graph.add_factor({stage, user}, table, "couple_" + std::to_string(stage));
@@ -245,22 +303,14 @@ FactorGraph build_entity_graph(const ModelParams& params,
 }
 
 EntityResult infer_entity(const ModelParams& params,
-                          std::span<const alerts::AlertType> observed, double coupling,
-                          const BpOptions& options) {
+                          std::span<const alerts::AlertType> observed, double coupling) {
   EntityResult result;
-  if (observed.empty()) {
-    result.p_malicious = 0.5;
-    return result;
-  }
-  const FactorGraph graph = build_entity_graph(params, observed, coupling);
-  BpOptions opts = options;
-  opts.damping = opts.damping > 0.0 ? opts.damping : 0.3;  // the graph is loopy
-  opts.max_iterations = std::max<std::size_t>(opts.max_iterations, 4 * observed.size() + 20);
-  const BpResult bp = run_bp(graph, opts);
-  result.converged = bp.converged;
-  result.iterations = bp.iterations;
-  result.p_malicious = bp.marginals.back()[1];
-  result.last_stage = bp.marginals[observed.size() - 1];
+  if (observed.empty()) return result;
+  EntityFilter filter(compile_params(params), coupling);
+  for (const alerts::AlertType type : observed) filter.observe(type);
+  result.p_malicious = filter.p_malicious();
+  const auto last = filter.last_stage();
+  result.last_stage.assign(last.begin(), last.end());
   return result;
 }
 

@@ -7,6 +7,7 @@
 // the "conditional probability of an alert being in a successful attack
 // and normal operational conditions" of Remark 2.
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -16,6 +17,7 @@
 #include "fg/bp.hpp"
 #include "fg/graph.hpp"
 #include "incidents/generator.hpp"
+#include "util/annotations.hpp"
 #include "util/time_utils.hpp"
 
 namespace at::fg {
@@ -98,7 +100,8 @@ struct CompiledParams {
 /// Streaming forward filter over the chain (O(stages^2) per event):
 /// maintains P(stage_t | alerts_1..t). This is what the online detector
 /// runs; it is algebraically identical to sum-product BP restricted to the
-/// forward direction of the chain (verified in tests).
+/// forward direction of the chain (verified in tests). Its recurrence step
+/// is shared with EntityFilter.
 class ForwardFilter {
  public:
   /// Compiles a private table set; the filter — and anything embedding it —
@@ -139,27 +142,61 @@ class ForwardFilter {
 [[nodiscard]] std::vector<alerts::AttackStage> decode_stages(
     const ModelParams& params, std::span<const alerts::AlertType> observed);
 
-/// Entity-augmented model (the original AttackTagger's full shape): the
-/// per-event stage chain plus one global binary *user-state* variable U
-/// (legitimate / malicious) coupled to every stage variable. The coupling
-/// factor rewards consistency: a malicious user explains in_progress and
-/// compromised stages, a legitimate one explains benign/suspicious. The
-/// resulting graph is loopy; inference is damped loopy BP.
-struct EntityResult {
-  double p_malicious = 0.0;            ///< posterior of U = malicious
-  std::vector<double> last_stage;      ///< posterior over the final stage
-  bool converged = false;
-  std::size_t iterations = 0;
+/// Entity-augmented model (the original AttackTagger's full shape, from
+/// PULSAR): the per-event stage chain plus one global binary *user-state*
+/// variable U (legitimate / malicious, uniform prior) coupled to every
+/// stage variable. The coupling factor rewards consistency: a malicious
+/// user explains in_progress and compromised stages, a legitimate one
+/// explains benign/suspicious. The graph is loopy, but fixing U leaves a
+/// chain whose coupling factors are unary per stage, so the exact
+/// posterior is a softmax over log Z(u), each from one forward pass.
+///
+/// EntityFilter runs both passes as a stream: two stage beliefs (one per
+/// value of U) and two running log-normalizers, no history. Each pass is
+/// ForwardFilter's recurrence with the coupling row folded into the
+/// emission. With a gap bucket, every event after the first also carries
+/// the gap factor, as in ForwardFilter.
+class EntityFilter {
+ public:
+  /// `coupling` > 0 is the log-strength of the U<->stage consistency factor.
+  explicit EntityFilter(std::shared_ptr<const CompiledParams> compiled, double coupling = 1.0);
+
+  /// Absorb one observation; returns P(U = malicious | alerts so far).
+  double observe(alerts::AlertType type, std::optional<GapBucket> gap = std::nullopt) AT_HOT;
+
+  /// 0.5 before the first observation.
+  [[nodiscard]] double p_malicious() const noexcept;
+  /// log Z(u): the log partition function of the entity model with U
+  /// clamped to u (chain, coupling and gap factors; the uniform prior on U
+  /// left out). 0 before the first observation.
+  [[nodiscard]] double log_partition(std::size_t user) const { return log_z_.at(user); }
+  /// Exact posterior over the current stage, U summed out.
+  [[nodiscard]] std::array<double, alerts::kNumStages> last_stage() const noexcept;
+  [[nodiscard]] std::size_t observed() const noexcept { return count_; }
+  void reset() noexcept;
+
+ private:
+  using Row = std::array<double, alerts::kNumStages>;
+  std::shared_ptr<const CompiledParams> compiled_;
+  std::array<Row, 2> coupling_{};  ///< linear coupling factor row per value of U
+  std::array<Row, 2> belief_{};    ///< P(stage_t | alerts, U = u), normalized
+  std::array<double, 2> log_z_{};
+  std::size_t count_ = 0;
 };
 
-/// `coupling` > 0 is the log-strength of the U<->stage consistency factor.
+/// Exact posterior of a whole history (an EntityFilter run over `observed`).
+struct EntityResult {
+  double p_malicious = 0.5;        ///< posterior of U = malicious
+  std::vector<double> last_stage;  ///< posterior over the final stage; empty if no alerts
+};
+
 [[nodiscard]] EntityResult infer_entity(const ModelParams& params,
                                         std::span<const alerts::AlertType> observed,
-                                        double coupling = 1.0,
-                                        const BpOptions& options = {});
+                                        double coupling = 1.0);
 
-/// Build the loopy entity graph itself (exposed for tests and benches).
-/// Variable 0..n-1 are the stages; variable n is U.
+/// Build the loopy entity graph itself: the offline form of the model, for
+/// run_bp and the enumerate_exact oracle. Variable 0..n-1 are the stages;
+/// variable n is U.
 [[nodiscard]] FactorGraph build_entity_graph(const ModelParams& params,
                                              std::span<const alerts::AlertType> observed,
                                              double coupling = 1.0);

@@ -320,5 +320,46 @@ TEST(ChainTest, PosteriorAlwaysNormalized) {
   }
 }
 
+TEST(ChainTest, ForwardFilterRecurrenceIsBitIdentical) {
+  // ForwardFilter shares its recurrence with the entity filter, which
+  // multiplies a coupling row into the emission; for the plain chain that
+  // row is all ones, and the posteriors must not move by a single bit.
+  // Reference: the recurrence written out on the compiled tables.
+  const auto compiled = compile_params(learn_params(training()));
+  constexpr std::size_t kS = alerts::kNumStages;
+  constexpr std::size_t kT = alerts::kNumAlertTypes;
+  util::Rng rng(11);
+  ForwardFilter filter(compiled);
+  std::vector<double> belief(kS, 0.0);
+  for (std::size_t i = 0; i < 2000; ++i) {
+    const auto type = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kT) - 1));
+    const auto bucket = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kNumGapBuckets) - 1));
+    const bool timed = rng.uniform_int(0, 1) == 1;
+    double next[kS];
+    for (std::size_t s = 0; s < kS; ++s) {
+      if (i == 0) {
+        next[s] = compiled->prior[s] * compiled->emission[s * kT + type];
+        continue;
+      }
+      double predicted = 0.0;
+      for (std::size_t p = 0; p < kS; ++p) {
+        predicted += belief[p] * compiled->transition[p * kS + s];
+      }
+      next[s] = predicted * compiled->emission[s * kT + type];
+      if (timed) next[s] *= compiled->gap[s * kNumGapBuckets + bucket];
+    }
+    double total = 0.0;
+    for (const double v : next) total += v;
+    for (std::size_t s = 0; s < kS; ++s) belief[s] = next[s] / total;
+
+    const std::optional<GapBucket> gap =
+        timed ? std::optional<GapBucket>(static_cast<GapBucket>(bucket)) : std::nullopt;
+    const auto& got = filter.observe(static_cast<AlertType>(type), gap);
+    for (std::size_t s = 0; s < kS; ++s) ASSERT_EQ(got[s], belief[s]) << "alert " << i;
+  }
+}
+
 }  // namespace
 }  // namespace at::fg

@@ -1,9 +1,10 @@
 // Zero-allocation guarantees for the hot inference paths: once a
-// BpWorkspace/BpResult pair (or an EntityBatchBp entity) has warmed up to
-// the largest problem it has seen, repeated inference calls must not touch
-// the heap at all. Verified by counting global operator new/delete hits
-// around the warm calls — the strongest form of the "reusable scratch"
-// contract BpOptions-style callers rely on in the per-alert pipelines.
+// BpWorkspace/BpResult pair has warmed up to the largest problem it has
+// seen, repeated inference calls must not touch the heap at all, and the
+// entity engine (fg::EntityFilter, fixed-size state) never does. Verified
+// by counting global operator new/delete hits around the warm calls — the
+// strongest form of the "reusable scratch" contract BpOptions-style
+// callers rely on in the per-alert pipelines.
 //
 // The counting replacements are malloc-backed and unconditionally defined:
 // under ASan the sanitizer interposes malloc itself, so the counters keep
@@ -15,8 +16,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "fg/entity_bp.hpp"
-#include "fg/incremental_bp.hpp"
+#include "detect/detector.hpp"
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
 
@@ -67,6 +67,7 @@ namespace at::fg {
 namespace {
 
 using alerts::AlertType;
+using alerts::AttackStage;
 
 const ModelParams& model() {
   static const ModelParams p = [] {
@@ -105,48 +106,36 @@ TEST(FgAllocation, WarmWorkspaceRunBpAllocatesNothing) {
   EXPECT_EQ(allocated, 0u) << "warm workspace run_bp touched the heap";
 }
 
-TEST(FgAllocation, WarmIncrementalPropagateAllocatesNothing) {
-  const std::vector<AlertType> observed = {
-      AlertType::kPortScan, AlertType::kLoginFailure, AlertType::kSshBruteforce,
-      AlertType::kDownloadSensitive};
-  FactorGraph graph = build_entity_graph(model(), observed);
-  BpOptions options;
-  options.damping = 0.3;
-  IncrementalBp engine(graph, options);
-
-  // Warm up the invalidate -> propagate cycle (heap entries, scratch).
-  const FactorId emission = 1;  // one of the chain's emission factors
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    engine.invalidate_factor(emission);
-    engine.propagate();
-  }
+TEST(FgAllocation, WarmEntityFilterObserveAllocatesNothing) {
+  EntityFilter filter(compile_params(model()));
+  filter.observe(AlertType::kPortScan);
   const auto allocated = allocations_during([&] {
-    engine.invalidate_factor(emission);
-    engine.propagate();
+    for (int i = 0; i < 64; ++i) {
+      filter.observe(AlertType::kSshBruteforce, GapBucket::kBurst);
+      filter.observe(AlertType::kJobSubmitted);
+    }
   });
-  EXPECT_EQ(allocated, 0u) << "warm incremental propagate touched the heap";
+  EXPECT_EQ(allocated, 0u) << "warm EntityFilter::observe touched the heap";
 }
 
 TEST(FgAllocation, EntityEngineObserveAllocatesAmortizedConstant) {
-  EntityBatchBp engine(compile_params(model()));
-  // Entity 1 warms the SHARED scratch (residual heap, priority array) to a
-  // history longer than anything entity 2 reaches below.
-  for (int i = 0; i < 64; ++i) {
-    engine.observe(1, AlertType::kJobSubmitted);
-  }
-  // Each observe appends one event (history byte + kStride message doubles),
-  // so growth allocations are unavoidable — but they must be *amortized*:
-  // geometric capacity doubling means 32 observes trigger only a handful of
-  // reallocations, never one-per-call and never any scratch churn.
-  for (int i = 0; i < 8; ++i) engine.observe(2, AlertType::kPortScan);
-  constexpr int kObserves = 32;
+  // The detector-level entity mode: state no longer grows with the
+  // history, so a stream that never fires costs zero allocations per
+  // alert, however long it runs.
+  detect::FactorGraphDetector detector(compile_params(model()), /*threshold=*/1.1,
+                                       AttackStage::kInProgress, /*use_timing=*/true,
+                                       detect::FgInference::kEntityIncremental);
+  alerts::Alert alert;
+  alert.type = AlertType::kJobSubmitted;
+  ASSERT_FALSE(detector.observe(alert, 0).has_value());
   const auto allocated = allocations_during([&] {
-    for (int i = 0; i < kObserves; ++i) engine.observe(2, AlertType::kPortScan);
+    for (std::size_t i = 1; i <= 256; ++i) {
+      alert.ts = static_cast<util::SimTime>(i * 90);
+      alert.type = i % 2 == 0 ? AlertType::kPortScan : AlertType::kJobSubmitted;
+      static_cast<void>(detector.observe(alert, i));
+    }
   });
-  // Three growing vectors (types, msg, din) doubling from 8 to 40 events:
-  // at most ~3 reallocations each. Anything near one-allocation-per-observe
-  // means a hot path regressed into per-call scratch allocation.
-  EXPECT_LE(allocated, 12u) << "entity observe allocates per call, not amortized";
+  EXPECT_EQ(allocated, 0u) << "entity-mode observe allocates per alert";
 }
 
 }  // namespace

@@ -1,29 +1,33 @@
-// Incremental inference oracles: fg::IncrementalBp and fg::EntityBatchBp
-// must agree with cold full BP (and with exact enumeration where feasible)
-// while replaying randomized alert streams one update at a time. This is
-// the correctness gate for the cached-posterior/edge-scoped-invalidation
-// engines: posterior divergence from the full re-run stays <= 1e-9.
+// Incremental inference oracles for fg::EntityFilter, the streaming exact
+// engine of the entity model (stage chain + binary user state U). Every
+// posterior it emits after an alert must match a cold re-inference of the
+// whole history to <= 1e-9: exact enumeration of the factor graph where it
+// is small enough, otherwise an independent log-domain forward pass that
+// conditions on U by hand and sums with logsumexp.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "fg/entity_bp.hpp"
-#include "fg/incremental_bp.hpp"
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
+#include "util/logdomain.hpp"
 #include "util/rng.hpp"
 
 namespace at::fg {
 namespace {
 
 using alerts::AlertType;
+using alerts::AttackStage;
 
 constexpr double kGate = 1e-9;
-// Both engines run to a far tighter internal tolerance than the gate so
-// that fixed-point truncation noise cannot eat the comparison budget.
-constexpr double kTightTol = 1e-13;
+constexpr std::size_t kS = alerts::kNumStages;
+constexpr auto kBuckets = static_cast<std::int64_t>(kNumGapBuckets);
 
 const ModelParams& model() {
   static const ModelParams p = [] {
@@ -44,357 +48,281 @@ AlertType random_type(util::Rng& rng) {
       rng.uniform_int(0, static_cast<std::int64_t>(alerts::kNumAlertTypes) - 1));
 }
 
-double max_divergence(const IncrementalBp& inc, const BpResult& full) {
-  double worst = 0.0;
-  std::vector<double> marginal;
-  for (VarId v = 0; v < full.marginals.size(); ++v) {
-    inc.marginal(v, marginal);
-    EXPECT_EQ(marginal.size(), full.marginals[v].size());
-    for (std::size_t x = 0; x < marginal.size(); ++x) {
-      worst = std::max(worst, std::abs(marginal[x] - full.marginals[v][x]));
-    }
-  }
-  return worst;
+/// The entity model's U<->stage log-potential, written out from its
+/// definition: attack stages (in_progress and later) are consistent with a
+/// malicious user, earlier stages with a legitimate one.
+double coupling_term(std::size_t stage, std::size_t user, double coupling) {
+  const bool attack = stage >= static_cast<std::size_t>(AttackStage::kInProgress);
+  return attack == (user == 1) ? 0.0 : -coupling;
 }
 
-FactorGraph two_var_chain() {
-  FactorGraph graph;
-  const auto x0 = graph.add_variable(2, "x0");
-  const auto x1 = graph.add_variable(2, "x1");
-  graph.add_factor({x0}, {std::log(0.3), std::log(0.7)});
-  graph.add_factor({x0, x1},
-                   {std::log(0.9), std::log(0.1), std::log(0.2), std::log(0.8)});
+double log_sum_exp(const double* x, std::size_t n) {
+  double top = util::kLogZero;
+  for (std::size_t i = 0; i < n; ++i) top = std::max(top, x[i]);
+  if (top == util::kLogZero) return top;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum += std::exp(x[i] - top);
+  return top + std::log(sum);
+}
+
+/// Independent reference: a log-domain forward pass over the log tables for
+/// each fixed value of U, streamed one alert at a time. Shares no code with
+/// the filter under test.
+class LogDomainReference {
+ public:
+  LogDomainReference(const ModelParams& params, double coupling)
+      : params_(params), coupling_(coupling) {}
+
+  void observe(AlertType type, std::optional<GapBucket> gap) {
+    for (std::size_t u = 0; u < 2; ++u) {
+      std::array<double, kS> next{};
+      for (std::size_t s = 0; s < kS; ++s) {
+        const auto stage = static_cast<AttackStage>(s);
+        double in = 0.0;
+        if (count_ == 0) {
+          in = params_.prior(stage);
+        } else {
+          std::array<double, kS> terms{};
+          for (std::size_t p = 0; p < kS; ++p) {
+            terms[p] = alpha_[u][p] + params_.transition(static_cast<AttackStage>(p), stage);
+          }
+          in = log_sum_exp(terms.data(), kS);
+          if (gap) in += params_.gap(stage, *gap);
+        }
+        next[s] = in + params_.emission(stage, type) + coupling_term(s, u, coupling_);
+      }
+      alpha_[u] = next;
+    }
+    ++count_;
+  }
+
+  [[nodiscard]] double log_partition(std::size_t u) const {
+    return log_sum_exp(alpha_[u].data(), kS);
+  }
+  [[nodiscard]] double p_malicious() const {
+    // Uniform prior on U: P(U=1 | alerts) = Z(1) / (Z(0) + Z(1)).
+    const double z[2] = {log_partition(0), log_partition(1)};
+    return std::exp(z[1] - log_sum_exp(z, 2));
+  }
+
+ private:
+  const ModelParams& params_;
+  double coupling_;
+  std::array<std::array<double, kS>, 2> alpha_{};
+  std::size_t count_ = 0;
+};
+
+/// build_entity_graph plus one unary log_gap factor on every stage after
+/// the first (gaps[t] is the gap before alert t): the time-aware entity
+/// model as a graph.
+FactorGraph timed_entity_graph(const ModelParams& params, std::span<const AlertType> observed,
+                               std::span<const GapBucket> gaps) {
+  FactorGraph graph = build_entity_graph(params, observed);
+  for (std::size_t t = 1; t < observed.size(); ++t) {
+    std::vector<double> table(kS);
+    for (std::size_t s = 0; s < kS; ++s) {
+      table[s] = params.gap(static_cast<AttackStage>(s), gaps[t]);
+    }
+    graph.add_factor({static_cast<VarId>(t)}, std::move(table));
+  }
   return graph;
 }
 
-TEST(IncrementalBp, HandChainMatchesExact) {
-  const auto graph = two_var_chain();
-  IncrementalBp inc(graph);
-  EXPECT_TRUE(inc.stats().converged);
-  EXPECT_NEAR(inc.marginal(0)[0], 0.3, kGate);
-  EXPECT_NEAR(inc.marginal(0)[1], 0.7, kGate);
-  EXPECT_NEAR(inc.marginal(1)[0], 0.41, kGate);
-  EXPECT_EQ(inc.map_state(0), 1u);
-}
-
-TEST(IncrementalBp, FillResultMatchesRunBp) {
-  const auto graph = two_var_chain();
-  IncrementalBp inc(graph);
-  BpResult from_inc;
-  inc.fill_result(from_inc);
-  const BpResult full = run_bp(graph);
-  ASSERT_EQ(from_inc.marginals.size(), full.marginals.size());
-  for (std::size_t v = 0; v < full.marginals.size(); ++v) {
-    for (std::size_t x = 0; x < full.marginals[v].size(); ++x) {
-      EXPECT_NEAR(from_inc.marginals[v][x], full.marginals[v][x], kGate);
-    }
-    EXPECT_EQ(from_inc.map_assignment[v], full.map_assignment[v]);
+void expect_matches_exact(const EntityFilter& filter, const ExactResult& exact,
+                          std::size_t n, const std::string& where) {
+  EXPECT_NEAR(filter.p_malicious(), exact.marginals[n][1], kGate) << where;
+  const auto last = filter.last_stage();
+  for (std::size_t s = 0; s < kS; ++s) {
+    EXPECT_NEAR(last[s], exact.marginals[n - 1][s], kGate) << where << " stage " << s;
   }
 }
 
-// Random trees: the incremental engine must be exact (vs enumeration), and
-// identical to a cold run_bp, after an initial full propagation.
+// Random parameter tables: with U fixed the entity model is a chain (a
+// tree), and the filter's running log Z(u) must equal the partition
+// function enumeration gives for that tree, from a cold start at every
+// length.
 class IncrementalTreeExactness : public ::testing::TestWithParam<int> {};
 
 TEST_P(IncrementalTreeExactness, ColdStartMatchesEnumeration) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 131 + 17);
-  FactorGraph graph;
-  const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform_int(0, 5));
-  std::vector<VarId> vars;
-  for (std::size_t i = 0; i < n; ++i) {
-    vars.push_back(graph.add_variable(2 + static_cast<std::size_t>(rng.uniform_int(0, 1))));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t card = graph.variable(vars[i]).cardinality;
-    std::vector<double> unary(card);
-    for (double& v : unary) v = rng.uniform(-1.5, 1.5);
-    graph.add_factor({vars[i]}, unary);
-    if (i == 0) continue;
-    const VarId parent = vars[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))];
-    std::vector<double> pair(card * graph.variable(parent).cardinality);
-    for (double& v : pair) v = rng.uniform(-1.5, 1.5);
-    graph.add_factor({parent, vars[i]}, pair);
-  }
-  IncrementalBp inc(graph);
-  EXPECT_TRUE(inc.stats().converged);
-  const auto exact = enumerate_exact(graph);
-  std::vector<double> marginal;
-  for (VarId v = 0; v < graph.num_variables(); ++v) {
-    inc.marginal(v, marginal);
-    for (std::size_t x = 0; x < marginal.size(); ++x) {
-      EXPECT_NEAR(marginal[x], exact.marginals[v][x], kGate);
+  ModelParams params;
+  const auto fill = [&](std::vector<double>& table, std::size_t size) {
+    table.resize(size);
+    for (double& v : table) v = rng.uniform(-3.0, 1.0);
+  };
+  fill(params.log_prior, kS);
+  fill(params.log_transition, kS * kS);
+  fill(params.log_emission, kS * alerts::kNumAlertTypes);
+  fill(params.log_gap, kS * kNumGapBuckets);
+  const double coupling = rng.uniform(0.1, 3.0);
+  const std::size_t n = 1 + static_cast<std::size_t>(GetParam()) % 8;
+
+  std::vector<AlertType> observed;
+  for (std::size_t i = 0; i < n; ++i) observed.push_back(random_type(rng));
+  EntityFilter filter(compile_params(params), coupling);
+  for (const AlertType type : observed) filter.observe(type);
+
+  for (std::size_t u = 0; u < 2; ++u) {
+    // Clamp U = u: the coupling factors become unary rows on the chain.
+    FactorGraph chain = build_chain(params, observed);
+    for (VarId t = 0; t < n; ++t) {
+      std::vector<double> row(kS);
+      for (std::size_t s = 0; s < kS; ++s) row[s] = coupling_term(s, u, coupling);
+      chain.add_factor({t}, std::move(row));
     }
+    ASSERT_TRUE(chain.is_tree());
+    const double exact = enumerate_exact(chain).log_partition;
+    EXPECT_NEAR(filter.log_partition(u), exact, kGate * std::max(1.0, std::abs(exact)))
+        << "u=" << u << " n=" << n;
   }
+  const auto exact = enumerate_exact(build_entity_graph(params, observed, coupling));
+  expect_matches_exact(filter, exact, n, "n=" + std::to_string(n));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalTreeExactness, ::testing::Range(0, 12));
 
-// Streamed growth: append chain events one at a time through sync() and
-// compare every intermediate posterior against a cold full run (and the
-// enumeration oracle while the graph is small enough).
+// Streamed growth: one alert at a time, every intermediate posterior
+// against a cold enumeration of the whole entity graph so far.
 class IncrementalStream : public ::testing::TestWithParam<int> {};
 
 TEST_P(IncrementalStream, SyncMatchesFullRerunEveryStep) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 5);
-  const std::size_t steps = 10;
+  const std::size_t steps = 8;
   std::vector<AlertType> observed;
-
-  FactorGraph graph;  // grown in place, chain layout mirrors build_chain
-  BpOptions tight;
-  tight.tolerance = kTightTol;
-  IncrementalBp inc(graph, tight);
-  const ModelParams& mp = model();
-  VarId prev = 0;
+  EntityFilter filter(compiled());
   for (std::size_t step = 0; step < steps; ++step) {
-    const AlertType type = random_type(rng);
-    observed.push_back(type);
-    const VarId v = graph.add_variable(alerts::kNumStages);
-    std::vector<double> unary(alerts::kNumStages);
-    for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
-      unary[s] = mp.emission(static_cast<alerts::AttackStage>(s), type) +
-                 (step == 0 ? mp.prior(static_cast<alerts::AttackStage>(s)) : 0.0);
-    }
-    graph.add_factor({v}, unary);
-    if (step > 0) {
-      std::vector<double> pair(alerts::kNumStages * alerts::kNumStages);
-      for (std::size_t a = 0; a < alerts::kNumStages; ++a) {
-        for (std::size_t b = 0; b < alerts::kNumStages; ++b) {
-          pair[a * alerts::kNumStages + b] = mp.transition(
-              static_cast<alerts::AttackStage>(a), static_cast<alerts::AttackStage>(b));
-        }
-      }
-      graph.add_factor({prev, v}, pair);
-    }
-    prev = v;
-
-    inc.sync();
-    ASSERT_TRUE(inc.stats().converged);
-    BpOptions full_opts = tight;
-    full_opts.max_iterations = observed.size() + 2;
-    const BpResult full = run_bp(graph, full_opts);
-    EXPECT_LE(max_divergence(inc, full), kGate) << "step " << step;
-    if (step < 6) {
-      const auto exact = enumerate_exact(graph);
-      std::vector<double> marginal;
-      inc.marginal(prev, marginal);
-      for (std::size_t x = 0; x < marginal.size(); ++x) {
-        EXPECT_NEAR(marginal[x], exact.marginals[prev][x], kGate);
-      }
-    }
+    observed.push_back(random_type(rng));
+    filter.observe(observed.back());
+    EXPECT_EQ(filter.observed(), observed.size());
+    const auto exact = enumerate_exact(build_entity_graph(model(), observed));
+    expect_matches_exact(filter, exact, observed.size(), "step " + std::to_string(step));
   }
-  EXPECT_EQ(inc.stats().syncs, steps);
-  EXPECT_EQ(inc.synced_variables(), steps);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalStream, ::testing::Range(0, 6));
 
-TEST(IncrementalBp, InvalidateFactorTracksInPlaceTableEdit) {
-  auto graph = two_var_chain();
-  IncrementalBp inc(graph);
-  // Rewrite the unary factor in place; posterior flips toward x0 = 0.
-  graph.set_factor_table(0, {std::log(0.8), std::log(0.2)});
-  inc.invalidate_factor(0);
-  EXPECT_TRUE(inc.propagate());
-  const BpResult full = run_bp(graph);
-  EXPECT_LE(max_divergence(inc, full), kGate);
-  EXPECT_NEAR(inc.marginal(0)[0], 0.8, kGate);
-}
-
-TEST(IncrementalBp, RebindForcesFullRebuild) {
-  const auto graph = two_var_chain();
-  IncrementalBp inc(graph);
-  const auto before = inc.stats().full_rebuilds;
-  FactorGraph other;
-  other.add_variable(3);
-  other.add_factor({0}, {0.0, std::log(2.0), std::log(5.0)});
-  inc.rebind(other);
-  EXPECT_EQ(inc.stats().full_rebuilds, before + 1);
-  const BpResult full = run_bp(other);
-  EXPECT_LE(max_divergence(inc, full), kGate);
-}
-
-TEST(IncrementalBp, ShrunkGraphFallsBackToRebuild) {
-  // A graph whose contents are swapped out from under the engine (fewer
-  // variables/factors than the synced layout) must trigger the rebuild
-  // fallback on sync() instead of reading a stale layout.
-  FactorGraph graph = two_var_chain();
-  IncrementalBp inc(graph);
-  const auto before = inc.stats().full_rebuilds;
-  FactorGraph small;
-  small.add_variable(2);
-  small.add_factor({0}, {std::log(0.25), std::log(0.75)});
-  graph = std::move(small);  // shrink in place; engine still bound to `graph`
-  inc.sync();
-  EXPECT_EQ(inc.stats().full_rebuilds, before + 1);
-  const BpResult full = run_bp(graph);
-  EXPECT_LE(max_divergence(inc, full), kGate);
-}
-
-TEST(IncrementalBp, UnsyncedQueriesThrow) {
-  const auto graph = two_var_chain();
-  IncrementalBp inc(graph);
-  std::vector<double> out;
-  EXPECT_THROW(inc.marginal(99, out), std::out_of_range);
-  EXPECT_THROW(static_cast<void>(inc.map_state(99)), std::out_of_range);
-  EXPECT_THROW(inc.invalidate_factor(99), std::out_of_range);
-}
-
-// Loopy entity graphs: incremental residual scheduling must land on the
-// same fixed point as flooding run_bp (both damped, both run tight).
-class IncrementalLoopyEntity : public ::testing::TestWithParam<int> {};
-
-TEST_P(IncrementalLoopyEntity, MatchesFloodingFixedPoint) {
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 409 + 3);
-  std::vector<AlertType> observed;
-  const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform_int(0, 6));
-  for (std::size_t i = 0; i < n; ++i) observed.push_back(random_type(rng));
-  const FactorGraph graph = build_entity_graph(model(), observed);
-
-  BpOptions opts;
-  opts.damping = 0.3;
-  opts.tolerance = kTightTol;
-  opts.max_iterations = 4 * n + 200;
-  const BpResult full = run_bp(graph, opts);
-  ASSERT_TRUE(full.converged);
-
-  IncrementalBp inc(graph, opts);
-  ASSERT_TRUE(inc.stats().converged);
-  EXPECT_LE(max_divergence(inc, full), kGate);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalLoopyEntity, ::testing::Range(0, 8));
-
-// ---------------------------------------------------------------------------
-// EntityBatchBp: the batched multi-entity engine must reproduce
-// infer_entity (full graph rebuild + flooding loopy BP) per alert.
-
-// Near-critical couplings mix slowly: at 1e-12 some instances need a few
-// hundred sweeps (flooding) / tens of thousands of pops (residual), so the
-// oracle runs both sides with generous effort bounds.
-BpOptions tight_entity_opts(std::size_t n) {
-  BpOptions opts;
-  opts.tolerance = 1e-12;
-  opts.max_iterations = 4 * n + 4000;
-  return opts;
-}
-
+// Per-alert posteriors of the streaming filter against a cold infer_entity
+// over the same prefix and against the independent log-domain pass, past
+// the sizes enumeration reaches.
 class EntityIncrementalOracle : public ::testing::TestWithParam<int> {};
 
 TEST_P(EntityIncrementalOracle, PerAlertPosteriorsMatchInferEntity) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 67 + 29);
-  EntityBpOptions eopts;
-  // 1e-13 sits below the cancellation-noise floor of the U-belief running
-  // sum, so the schedule cannot always drain that far; 1e-12 converges and
-  // still leaves three orders of magnitude under the 1e-9 gate.
-  eopts.tolerance = 1e-12;
-  eopts.max_iterations = 5000;
-  EntityBatchBp engine(compiled(), eopts);
+  const double coupling = 0.5 + 0.25 * GetParam();
+  EntityFilter filter(compiled(), coupling);
+  LogDomainReference reference(model(), coupling);
 
   std::vector<AlertType> observed;
   const std::size_t steps = 2 + static_cast<std::size_t>(rng.uniform_int(4, 14));
   for (std::size_t i = 0; i < steps; ++i) {
     const AlertType type = random_type(rng);
     observed.push_back(type);
-    const auto& post = engine.observe(7, type);
-    ASSERT_TRUE(post.converged);
-    const EntityResult full =
-        infer_entity(model(), observed, 1.0, tight_entity_opts(observed.size()));
-    ASSERT_TRUE(full.converged);
-    EXPECT_NEAR(post.p_malicious, full.p_malicious, kGate) << "step " << i;
-    for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
-      EXPECT_NEAR(post.last_stage[s], full.last_stage[s], kGate) << "step " << i;
-    }
+    const double p = filter.observe(type);
+    reference.observe(type, std::nullopt);
+    const EntityResult cold = infer_entity(model(), observed, coupling);
+    EXPECT_EQ(p, cold.p_malicious) << "step " << i;
+    const auto last = filter.last_stage();
+    ASSERT_EQ(cold.last_stage.size(), kS);
+    for (std::size_t s = 0; s < kS; ++s) EXPECT_EQ(last[s], cold.last_stage[s]);
+    EXPECT_NEAR(p, reference.p_malicious(), kGate) << "step " << i;
   }
-  EXPECT_EQ(engine.history(7), steps);
-  EXPECT_EQ(engine.stats().events, steps);
+  EXPECT_EQ(filter.observed(), steps);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EntityIncrementalOracle, ::testing::Range(0, 10));
 
-TEST(EntityBatchBp, IndependentEntitiesDoNotInterfere) {
-  util::Rng rng(4242);
-  EntityBpOptions eopts;
-  eopts.tolerance = 1e-12;
-  eopts.max_iterations = 2000;
-  EntityBatchBp interleaved(compiled(), eopts);
-  EntityBatchBp solo(compiled(), eopts);
+// The gap term rides the same recurrence: with timing, the filter is exact
+// for the entity graph extended by one log_gap factor per later stage.
+class EntityFilterTiming : public ::testing::TestWithParam<int> {};
 
-  std::vector<std::vector<AlertType>> per_entity(5);
-  for (std::size_t step = 0; step < 60; ++step) {
-    const auto id = static_cast<EntityBatchBp::EntityId>(rng.uniform_int(0, 4));
-    const AlertType type = random_type(rng);
-    per_entity[id].push_back(type);
-    interleaved.observe(id, type);
+TEST_P(EntityFilterTiming, GapTermMatchesEnumeration) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7 + 3);
+  const std::size_t n = 2 + static_cast<std::size_t>(GetParam()) % 8;
+  std::vector<AlertType> observed;
+  std::vector<GapBucket> gaps;
+  EntityFilter timed(compiled());
+  EntityFilter untimed(compiled());
+  for (std::size_t i = 0; i < n; ++i) {
+    observed.push_back(random_type(rng));
+    gaps.push_back(static_cast<GapBucket>(rng.uniform_int(0, kBuckets - 1)));
+    timed.observe(observed.back(), gaps.back());
+    untimed.observe(observed.back());
   }
-  for (std::size_t id = 0; id < per_entity.size(); ++id) {
-    double expect = 0.5;
-    for (const AlertType type : per_entity[id]) {
-      expect = solo.observe(static_cast<EntityBatchBp::EntityId>(id + 100), type).p_malicious;
-    }
-    if (per_entity[id].empty()) {
-      EXPECT_EQ(interleaved.posterior(id), nullptr);
-      continue;
-    }
-    ASSERT_NE(interleaved.posterior(id), nullptr);
-    EXPECT_NEAR(interleaved.posterior(id)->p_malicious, expect, kGate);
-  }
+  expect_matches_exact(timed, enumerate_exact(timed_entity_graph(model(), observed, gaps)),
+                       n, "timed n=" + std::to_string(n));
+  expect_matches_exact(untimed, enumerate_exact(build_entity_graph(model(), observed)), n,
+                       "untimed n=" + std::to_string(n));
+  // The gap factors carry evidence: timing moves the posterior.
+  EXPECT_NE(timed.p_malicious(), untimed.p_malicious());
 }
 
-TEST(EntityBatchBp, BatchMatchesSequentialFinalPosteriors) {
-  util::Rng rng(99);
-  EntityBpOptions eopts;
-  eopts.tolerance = 1e-12;
-  eopts.max_iterations = 2000;
-  EntityBatchBp sequential(compiled(), eopts);
-  EntityBatchBp batched(compiled(), eopts);
+INSTANTIATE_TEST_SUITE_P(Seeds, EntityFilterTiming, ::testing::Range(0, 8));
 
-  std::vector<EntityBatchBp::Update> updates;
-  for (std::size_t i = 0; i < 48; ++i) {
-    updates.push_back({static_cast<EntityBatchBp::EntityId>(rng.uniform_int(0, 7)),
-                       random_type(rng)});
+TEST(EntityFilter, LongHistoryMatchesLogDomainForwardPass) {
+  // 5,000 alerts, gaps on, compared after every alert: log Z(u) to 1e-9
+  // absolute (|log Z| grows past 3e4, so this is ~3e-14 relative) and the
+  // posterior to 1e-9. The stream leans against the reference posterior
+  // (mostly benign content while it says malicious, mostly attack content
+  // otherwise) so the posterior crosses the middle of [0, 1], where it is
+  // most sensitive, before the chain settles into attack stages for good.
+  std::vector<AlertType> benign;
+  std::vector<AlertType> attack;
+  for (const auto& info : alerts::all_alert_info()) {
+    (info.typical_stage >= AttackStage::kInProgress ? attack : benign).push_back(info.type);
   }
-  for (const auto& u : updates) sequential.observe(u.entity, u.type);
-  batched.observe_batch(updates);
-
-  EXPECT_EQ(batched.tracked(), sequential.tracked());
-  for (EntityBatchBp::EntityId id = 0; id < 8; ++id) {
-    const auto* a = sequential.posterior(id);
-    const auto* b = batched.posterior(id);
-    ASSERT_EQ(a == nullptr, b == nullptr);
-    if (a == nullptr) continue;
-    EXPECT_EQ(a->events, b->events);
-    EXPECT_NEAR(a->p_malicious, b->p_malicious, 1e-7);
-    for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
-      EXPECT_NEAR(a->last_stage[s], b->last_stage[s], 1e-7);
-    }
+  const auto draw = [](util::Rng& rng, const std::vector<AlertType>& pool) {
+    return pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  };
+  util::Rng rng(2024);
+  EntityFilter filter(compiled());
+  LogDomainReference reference(model(), 1.0);
+  std::size_t undecided = 0;
+  for (std::size_t i = 0; i < 5000; ++i) {
+    const bool lean_benign = reference.p_malicious() > 0.5;
+    const bool contrary = rng.uniform_int(0, 9) < 3;
+    const AlertType type = draw(rng, lean_benign != contrary ? benign : attack);
+    const std::optional<GapBucket> gap =
+        i == 0 ? std::nullopt
+               : std::optional<GapBucket>(static_cast<GapBucket>(rng.uniform_int(0, kBuckets - 1)));
+    const double p = filter.observe(type, gap);
+    reference.observe(type, gap);
+    ASSERT_NEAR(p, reference.p_malicious(), kGate) << "alert " << i;
+    ASSERT_NEAR(filter.log_partition(0), reference.log_partition(0), kGate) << "alert " << i;
+    ASSERT_NEAR(filter.log_partition(1), reference.log_partition(1), kGate) << "alert " << i;
+    if (p > 0.01 && p < 0.99) ++undecided;
   }
+  EXPECT_EQ(filter.observed(), 5000u);
+  EXPECT_LT(reference.log_partition(0), -3e4);
+  // Not vacuous: part of the comparison ran where the posterior is sensitive.
+  EXPECT_GT(undecided, 25u);
 }
 
-TEST(EntityBatchBp, EraseAndClear) {
-  EntityBatchBp engine(compiled());
-  engine.observe(1, AlertType::kPortScan);
-  engine.observe(2, AlertType::kLoginSuccess);
-  EXPECT_EQ(engine.tracked(), 2u);
-  engine.erase(1);
-  EXPECT_EQ(engine.posterior(1), nullptr);
-  EXPECT_EQ(engine.tracked(), 1u);
-  engine.clear();
-  EXPECT_EQ(engine.tracked(), 0u);
-  EXPECT_EQ(engine.posterior(2), nullptr);
+TEST(EntityFilter, EmptyAndReset) {
+  EntityFilter filter(compiled());
+  EXPECT_EQ(filter.p_malicious(), 0.5);
+  EXPECT_EQ(filter.observed(), 0u);
+  const double first = filter.observe(AlertType::kC2Communication);
+  filter.observe(AlertType::kPrivilegeEscalation);
+  filter.reset();
+  EXPECT_EQ(filter.p_malicious(), 0.5);
+  EXPECT_EQ(filter.log_partition(0), 0.0);
+  EXPECT_EQ(filter.observe(AlertType::kC2Communication), first);
+  EXPECT_EQ(infer_entity(model(), {}).p_malicious, 0.5);
+  EXPECT_TRUE(infer_entity(model(), {}).last_stage.empty());
 }
 
-TEST(EntityBatchBp, MaliciousPosteriorTracksAttackContent) {
-  EntityBatchBp engine(compiled());
+TEST(EntityFilter, MaliciousPosteriorTracksAttackContent) {
+  EntityFilter quiet(compiled());
   double benign = 0.0;
-  for (int i = 0; i < 6; ++i) {
-    benign = engine.observe(0, AlertType::kJobSubmitted).p_malicious;
-  }
+  for (int i = 0; i < 6; ++i) benign = quiet.observe(AlertType::kJobSubmitted);
+  EntityFilter campaign(compiled());
   double attack = 0.0;
-  const AlertType campaign[] = {AlertType::kPortScan, AlertType::kSshBruteforce,
-                                AlertType::kDownloadSensitive, AlertType::kCompileSource,
-                                AlertType::kNewBinaryExecuted, AlertType::kC2Communication};
-  for (const AlertType type : campaign) attack = engine.observe(1, type).p_malicious;
+  for (const AlertType type :
+       {AlertType::kPortScan, AlertType::kSshBruteforce, AlertType::kDownloadSensitive,
+        AlertType::kCompileSource, AlertType::kNewBinaryExecuted, AlertType::kC2Communication}) {
+    attack = campaign.observe(type);
+  }
   EXPECT_GT(attack, benign);
   EXPECT_GT(attack, 0.5);
 }

@@ -98,7 +98,7 @@ else
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/at_tests \
-      --gtest_filter='ZeekLog*:ZeeklogMalformed*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:IncrementalBp*:EntityBatchBp*' \
+      --gtest_filter='ZeekLog*:ZeeklogMalformed*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:EntityFilter*:*EntityFilterTiming*:*EntityIncrementalOracle*:*IncrementalStream*:*IncrementalTreeExactness*' \
     || fail "sanitized tests"
 
   echo "=== [5/5] TSan: epoch reclamation + concurrent BHR readers ==="
