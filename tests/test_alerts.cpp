@@ -140,6 +140,10 @@ struct SymbolCase {
   AlertType expected;
 };
 
+// Names each case by its expected type so the test name is stable across
+// runs (the default printer dumps the struct's bytes, pointer included).
+void PrintTo(const SymbolCase& c, std::ostream* os) { *os << symbol(c.expected); }
+
 class SymbolizerPatterns : public ::testing::TestWithParam<SymbolCase> {};
 
 TEST_P(SymbolizerPatterns, MapsToExpectedType) {

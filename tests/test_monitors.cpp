@@ -197,6 +197,15 @@ struct AuditCase {
   std::optional<alerts::AlertType> expected;
 };
 
+// Names each case by its syscall so the test name is stable across runs
+// (the default printer dumps the struct's bytes, pointers included).
+void PrintTo(const AuditCase& c, std::ostream* os) {
+  *os << to_string(c.kind);
+  for (const char* part : {c.path, c.detail}) {
+    if (*part != '\0') *os << ' ' << part;
+  }
+}
+
 class AuditdMapping : public ::testing::TestWithParam<AuditCase> {};
 
 TEST_P(AuditdMapping, MapsSyscalls) {
