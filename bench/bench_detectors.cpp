@@ -3,10 +3,12 @@
 // preempts attacks that the critical-alert baseline only confirms after
 // damage, and keeps precision where single-alert thresholds drown. Also
 // runs the Insight-2 prefix sweep (recall vs observed core alerts 1..8)
-// and a factor-graph threshold sweep.
+// and a factor-graph threshold sweep. BM_RuleDetector_Fanout times the
+// per-entity copy-and-feed cost of the rule-based model.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -149,5 +151,38 @@ void BM_Detector_Training(benchmark::State& state) {
   state.SetLabel(rules ? "rule-based" : "factor-graph");
 }
 BENCHMARK(BM_Detector_Training)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_RuleDetector_Fanout(benchmark::State& state) {
+  // Per-entity cost of the rule-based model in the alert pipelines: every
+  // newly tracked entity gets a copy of the trained detector, which then
+  // sees that entity's few alerts. One iteration = one entity: copy,
+  // reset, feed up to kPerEntity alerts of one attack stream.
+  constexpr std::size_t kPerEntity = 8;
+  static const auto trained =
+      detect::RuleBasedDetector::train(workbench().split.train.incidents);
+  const auto& attacks = workbench().attacks;
+  std::size_t next = 0;
+  std::int64_t alerts = 0;
+  std::int64_t fired = 0;
+  for (auto _ : state) {
+    detect::RuleBasedDetector entity(trained);
+    entity.reset();
+    const auto& stream = attacks[next++ % attacks.size()].alerts;
+    const std::size_t n = std::min(stream.size(), kPerEntity);
+    for (std::size_t i = 0; i < n; ++i) {
+      ++alerts;
+      if (entity.observe(stream[i], i)) {
+        ++fired;
+        break;
+      }
+    }
+  }
+  state.SetLabel("rule-based");
+  state.SetItemsProcessed(alerts);
+  state.counters["signatures"] = static_cast<double>(trained.signature_count());
+  state.counters["fired_fraction"] =
+      static_cast<double>(fired) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_RuleDetector_Fanout)->Unit(benchmark::kNanosecond);
 
 }  // namespace

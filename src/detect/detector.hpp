@@ -12,10 +12,14 @@
 //   - FactorGraphDetector: AttackTagger — forward-filtered stage posterior
 //     crossing a probability threshold (ref [6]).
 
+#include <array>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "alerts/alert.hpp"
@@ -88,6 +92,10 @@ class ThresholdDetector final : public Detector {
 };
 
 /// Matches known signature subsequences (learned from training incidents).
+/// The signatures live in one immutable Table shared by every copy, so the
+/// per-entity fan-out in the alert pipelines copies a refcount and one
+/// progress byte per signature, and observe() visits only the signatures
+/// that contain the alert's type.
 class RuleBasedDetector final : public Detector {
  public:
   struct Signature {
@@ -95,6 +103,11 @@ class RuleBasedDetector final : public Detector {
     std::vector<alerts::AlertType> alerts;
   };
 
+  /// Longest accepted signature: progress is kept in one byte per signature.
+  static constexpr std::size_t kMaxSignatureLength = std::numeric_limits<std::uint8_t>::max();
+
+  /// Throws std::invalid_argument if a signature is longer than
+  /// kMaxSignatureLength.
   explicit RuleBasedDetector(std::vector<Signature> signatures);
 
   /// Extract signatures from training incidents: the pre-damage prefix of
@@ -104,17 +117,31 @@ class RuleBasedDetector final : public Detector {
                                  std::size_t max_len = 4, std::size_t min_len = 2);
 
   [[nodiscard]] std::string name() const override { return "rule-based"; }
-  [[nodiscard]] std::size_t signature_count() const noexcept { return signatures_.size(); }
+  [[nodiscard]] std::size_t signature_count() const noexcept {
+    return table_->signatures.size();
+  }
   /// Add a signature at runtime — the paper's feedback loop where alerts
-  /// from a preempted attack refine the deployed ruleset.
+  /// from a preempted attack refine the deployed ruleset. The shared table
+  /// is rebuilt copy-on-write: copies taken earlier keep the old set.
+  /// Throws std::invalid_argument as the constructor does.
   void add_signature(Signature signature);
   void reset() override;
   std::optional<Detection> observe(const alerts::Alert& alert, std::size_t index) override
       AT_HOT;
 
  private:
-  std::vector<Signature> signatures_;
-  std::vector<std::size_t> progress_;  ///< matched prefix length per signature
+  /// The signature set, immutable once built.
+  struct Table {
+    std::vector<Signature> signatures;
+    /// Ids of the signatures containing type t, ascending and each once:
+    /// ids[type_begin[t] .. type_begin[t + 1]).
+    std::array<std::uint32_t, alerts::kNumAlertTypes + 1> type_begin{};
+    std::vector<std::uint32_t> ids;
+  };
+  static std::shared_ptr<const Table> build_table(std::vector<Signature> signatures);
+
+  std::shared_ptr<const Table> table_;
+  std::vector<std::uint8_t> progress_;  ///< matched prefix length per signature
   bool fired_ = false;
 };
 
@@ -157,8 +184,11 @@ class FactorGraphDetector final : public Detector {
                                    double threshold = 0.75, bool use_timing = false);
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] const fg::ModelParams& params() const noexcept { return filter_.params(); }
-  [[nodiscard]] FgInference inference() const noexcept { return inference_; }
+  [[nodiscard]] const fg::ModelParams& params() const noexcept;
+  [[nodiscard]] FgInference inference() const noexcept {
+    return std::holds_alternative<fg::EntityFilter>(engine_) ? FgInference::kEntityIncremental
+                                                            : FgInference::kForwardFilter;
+  }
   void reset() override;
   std::optional<Detection> observe(const alerts::Alert& alert, std::size_t index) override
       AT_HOT;
@@ -167,12 +197,11 @@ class FactorGraphDetector final : public Detector {
   double threshold_;
   alerts::AttackStage stage_;
   bool use_timing_;
-  FgInference inference_;
-  fg::ForwardFilter filter_;
+  /// Only the engine the mode runs: a ForwardFilter for kForwardFilter,
+  /// an EntityFilter for kEntityIncremental.
+  std::variant<fg::ForwardFilter, fg::EntityFilter> engine_;
   std::optional<util::SimTime> last_ts_;
   bool fired_ = false;
-  /// Entity-mode engine; engaged only for kEntityIncremental.
-  std::optional<fg::EntityFilter> entity_;
 };
 
 }  // namespace at::detect

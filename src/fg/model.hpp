@@ -173,6 +173,7 @@ class EntityFilter {
   /// Exact posterior over the current stage, U summed out.
   [[nodiscard]] std::array<double, alerts::kNumStages> last_stage() const noexcept;
   [[nodiscard]] std::size_t observed() const noexcept { return count_; }
+  [[nodiscard]] const ModelParams& params() const noexcept { return compiled_->params; }
   void reset() noexcept;
 
  private:

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <stdexcept>
+
+#include "alloc_count.hpp"
 #include "detect/eval.hpp"
 
 namespace at::detect {
@@ -97,6 +102,198 @@ TEST(RuleBasedDetectorTest, TrainExtractsPreDamagePrefixes) {
   EXPECT_GT(detector.signature_count(), 10u);
   // Signatures are capped at 43 distinct cores (some prefixes coincide).
   EXPECT_LE(detector.signature_count(), 43u);
+}
+
+// The per-signature scan that the type-indexed table replaced, kept as the
+// oracle: every alert visits every signature in order, each advances at
+// most once, and the first to complete fires.
+class NaiveRuleMatcher {
+ public:
+  explicit NaiveRuleMatcher(std::vector<RuleBasedDetector::Signature> signatures)
+      : signatures_(std::move(signatures)), progress_(signatures_.size(), 0) {}
+
+  void add_signature(RuleBasedDetector::Signature signature) {
+    signatures_.push_back(std::move(signature));
+    progress_.push_back(0);
+  }
+  void reset() {
+    fired_ = false;
+    std::fill(progress_.begin(), progress_.end(), 0);
+  }
+  std::optional<Detection> observe(const Alert& alert, std::size_t index) {
+    if (fired_) return std::nullopt;
+    for (std::size_t s = 0; s < signatures_.size(); ++s) {
+      const auto& steps = signatures_[s].alerts;
+      if (progress_[s] < steps.size() && steps[progress_[s]] == alert.type) {
+        if (++progress_[s] == steps.size()) {
+          fired_ = true;
+          return Detection{index, alert.ts, 1.0, "matched " + signatures_[s].name};
+        }
+      }
+    }
+    return std::nullopt;
+  }
+
+ private:
+  std::vector<RuleBasedDetector::Signature> signatures_;
+  std::vector<std::size_t> progress_;
+  bool fired_ = false;
+};
+
+/// Random signature sets over a small type pool, so repeated types inside
+/// one signature and prefixes shared between signatures are common.
+std::vector<RuleBasedDetector::Signature> random_signatures(
+    std::mt19937& rng, const std::vector<AlertType>& pool) {
+  std::vector<RuleBasedDetector::Signature> signatures(rng() % 24);
+  for (std::size_t s = 0; s < signatures.size(); ++s) {
+    auto& steps = signatures[s].alerts;
+    if (s > 0 && rng() % 3 == 0) {
+      const auto& earlier = signatures[rng() % s].alerts;
+      steps.assign(earlier.begin(), earlier.begin() + static_cast<std::ptrdiff_t>(
+                                                          rng() % (earlier.size() + 1)));
+    }
+    const std::size_t extra = rng() % 5;
+    for (std::size_t i = 0; i < extra; ++i) steps.push_back(pool[rng() % pool.size()]);
+    signatures[s].name = "sig-" + std::to_string(s);
+  }
+  return signatures;
+}
+
+void expect_same(const std::optional<Detection>& got, const std::optional<Detection>& want,
+                 const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!want) return;
+  EXPECT_EQ(got->alert_index, want->alert_index) << where;
+  EXPECT_EQ(got->ts, want->ts) << where;
+  EXPECT_EQ(got->score, want->score) << where;
+  EXPECT_EQ(got->reason, want->reason) << where;
+}
+
+TEST(RuleBasedDetectorTable, MatchesNaiveScanOnRandomSignatureSets) {
+  std::mt19937 rng(20240611);
+  std::size_t fired = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    // Six signature types plus two that appear in no signature.
+    std::vector<AlertType> types;
+    while (types.size() < 8) {
+      const auto type = static_cast<AlertType>(rng() % alerts::kNumAlertTypes);
+      if (std::find(types.begin(), types.end(), type) == types.end()) types.push_back(type);
+    }
+    const std::vector<AlertType> pool(types.begin(), types.begin() + 6);
+    const auto signatures = random_signatures(rng, pool);
+    RuleBasedDetector table(signatures);
+    NaiveRuleMatcher naive(signatures);
+    // Three streams per set, with a reset between them; the third runs
+    // after a runtime add_signature.
+    for (int pass = 0; pass < 3; ++pass) {
+      if (pass == 2) {
+        auto extra = random_signatures(rng, pool);
+        if (!extra.empty()) {
+          extra.front().name = "added";
+          table.add_signature(extra.front());
+          naive.add_signature(extra.front());
+        }
+      }
+      table.reset();
+      naive.reset();
+      const std::size_t length = rng() % 30;
+      for (std::size_t i = 0; i < length; ++i) {
+        const Alert alert = make_alert(static_cast<util::SimTime>(i), types[rng() % types.size()]);
+        const auto want = naive.observe(alert, i);
+        fired += want.has_value() ? 1 : 0;
+        expect_same(table.observe(alert, i), want,
+                    "trial " + std::to_string(trial) + " pass " + std::to_string(pass) +
+                        " alert " + std::to_string(i));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(fired, 100u) << "generator too sparse to exercise firing";
+}
+
+TEST(RuleBasedDetectorTable, RepeatedTypeAdvancesOncePerAlert) {
+  RuleBasedDetector detector({{"aab", {AlertType::kPortScan, AlertType::kPortScan,
+                                       AlertType::kSshBruteforce}}});
+  EXPECT_FALSE(feed(detector, {AlertType::kPortScan, AlertType::kSshBruteforce}));
+  const auto hit = feed(detector, {AlertType::kPortScan, AlertType::kPortScan,
+                                   AlertType::kSshBruteforce});
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->alert_index, 2u);
+}
+
+TEST(RuleBasedDetectorTable, LowestCompletingSignatureFires) {
+  RuleBasedDetector detector({{"first", {AlertType::kPortScan, AlertType::kCompileSource}},
+                              {"second", {AlertType::kCompileSource}}});
+  const auto hit = feed(detector, {AlertType::kPortScan, AlertType::kCompileSource});
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->reason, "matched first");
+}
+
+TEST(RuleBasedDetectorTable, AddSignatureLeavesEarlierCopiesAlone) {
+  RuleBasedDetector original({{"scan-brute", {AlertType::kPortScan,
+                                              AlertType::kSshBruteforce}}});
+  original.reset();
+  ASSERT_FALSE(original.observe(make_alert(0, AlertType::kPortScan), 0));
+  const RuleBasedDetector before = original;
+  original.add_signature({"compile", {AlertType::kCompileSource}});
+  EXPECT_EQ(original.signature_count(), 2u);
+  EXPECT_EQ(before.signature_count(), 1u);
+
+  // The earlier copy does not know the new signature...
+  RuleBasedDetector old_set = before;
+  EXPECT_FALSE(feed(old_set, {AlertType::kCompileSource}));
+  // ...and the updated detector keeps its progress on the old ones.
+  const auto hit = original.observe(make_alert(1, AlertType::kSshBruteforce), 1);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->reason, "matched scan-brute");
+  RuleBasedDetector after = original;
+  const auto added = feed(after, {AlertType::kCompileSource});
+  ASSERT_TRUE(added.has_value());
+  EXPECT_EQ(added->reason, "matched compile");
+}
+
+TEST(RuleBasedDetectorTable, SignatureLengthBound) {
+  const std::vector<AlertType> at_bound(RuleBasedDetector::kMaxSignatureLength,
+                                        AlertType::kPortScan);
+  RuleBasedDetector detector({{"longest", at_bound}});
+  std::vector<AlertType> stream(at_bound.size() - 1, AlertType::kPortScan);
+  EXPECT_FALSE(feed(detector, stream));
+  stream.push_back(AlertType::kPortScan);
+  const auto hit = feed(detector, stream);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->alert_index, RuleBasedDetector::kMaxSignatureLength - 1);
+
+  auto too_long = at_bound;
+  too_long.push_back(AlertType::kPortScan);
+  EXPECT_THROW(RuleBasedDetector({{"too-long", too_long}}), std::invalid_argument);
+  EXPECT_THROW(detector.add_signature({"too-long", too_long}), std::invalid_argument);
+  EXPECT_EQ(detector.signature_count(), 1u);
+}
+
+TEST(RuleBasedDetectorAllocation, CopyAllocatesOnceAndWarmObserveNever) {
+  const auto trained = RuleBasedDetector::train(corpus().incidents);
+  ASSERT_GT(trained.signature_count(), 0u);
+  std::optional<RuleBasedDetector> copy;
+  EXPECT_EQ(test_support::allocations_during([&] { copy.emplace(trained); }), 1u)
+      << "a per-entity copy should allocate only its progress array";
+
+  // Scanning and brute-forcing without ever reaching the later stages
+  // advances signatures but completes none.
+  copy->reset();
+  const std::vector<AlertType> types = {AlertType::kPortScan, AlertType::kSshBruteforce,
+                                        AlertType::kLoginSuccess, AlertType::kJobSubmitted};
+  std::vector<Alert> stream;
+  for (std::size_t i = 0; i < 256; ++i) {
+    stream.push_back(make_alert(static_cast<util::SimTime>(i), types[i % types.size()]));
+  }
+  bool fired = false;
+  const auto allocated = test_support::allocations_during([&] {
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      fired = copy->observe(stream[i], i).has_value() || fired;
+    }
+  });
+  ASSERT_FALSE(fired);
+  EXPECT_EQ(allocated, 0u) << "non-firing observe touched the heap";
 }
 
 TEST(FactorGraphDetectorTest, FiresOnAttackNotOnBenign) {

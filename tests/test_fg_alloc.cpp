@@ -6,6 +6,9 @@
 // strongest form of the "reusable scratch" contract BpOptions-style
 // callers rely on in the per-alert pipelines.
 //
+// The count is exported through alloc_count.hpp so other test files can
+// pin their own paths' allocations (one replacement per program).
+//
 // The counting replacements are malloc-backed and unconditionally defined:
 // under ASan the sanitizer interposes malloc itself, so the counters keep
 // working (they wrap the sanitizer's allocator rather than fight it).
@@ -16,6 +19,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "alloc_count.hpp"
 #include "detect/detector.hpp"
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
@@ -25,6 +29,10 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 
 }  // namespace
+
+std::uint64_t at::test_support::allocation_count() noexcept {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 // Global replacements: count every heap allocation in the process. Tests
 // are exempt from the raw-new-delete lint rule; these exist precisely to
@@ -78,12 +86,7 @@ const ModelParams& model() {
   return p;
 }
 
-template <typename Body>
-std::uint64_t allocations_during(Body&& body) {
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  body();
-  return g_allocations.load(std::memory_order_relaxed) - before;
-}
+using test_support::allocations_during;
 
 TEST(FgAllocation, WarmWorkspaceRunBpAllocatesNothing) {
   const std::vector<AlertType> observed = {
@@ -136,6 +139,26 @@ TEST(FgAllocation, EntityEngineObserveAllocatesAmortizedConstant) {
     }
   });
   EXPECT_EQ(allocated, 0u) << "entity-mode observe allocates per alert";
+}
+
+TEST(FgAllocation, WarmForwardDetectorObserveAllocatesNothing) {
+  // Forward mode, threshold out of reach: the detector never fires, so
+  // observe() must not build its reason text ("P(stage>=in_progress)=..."
+  // outgrows the small-string buffer) nor touch the heap at all.
+  detect::FactorGraphDetector detector(compile_params(model()), /*threshold=*/1.1,
+                                       AttackStage::kInProgress, /*use_timing=*/true);
+  ASSERT_EQ(detector.inference(), detect::FgInference::kForwardFilter);
+  alerts::Alert alert;
+  alert.type = AlertType::kPortScan;
+  ASSERT_FALSE(detector.observe(alert, 0).has_value());
+  const auto allocated = allocations_during([&] {
+    for (std::size_t i = 1; i <= 256; ++i) {
+      alert.ts = static_cast<util::SimTime>(i * 90);
+      alert.type = i % 3 == 0 ? AlertType::kDownloadSensitive : AlertType::kSshBruteforce;
+      static_cast<void>(detector.observe(alert, i));
+    }
+  });
+  EXPECT_EQ(allocated, 0u) << "forward-mode observe allocates per alert";
 }
 
 }  // namespace

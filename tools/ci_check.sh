@@ -87,7 +87,7 @@ ctest --test-dir build-ci --output-on-failure -j "$JOBS" || fail "ctest"
 if [[ "$SKIP_SANITIZERS" == "1" ]]; then
   echo "=== [5/5] sanitizers: SKIPPED (--skip-sanitizers) ==="
 else
-  echo "=== [5/5] ASan+UBSan: zeeklog + factor-graph unit tests ==="
+  echo "=== [5/5] ASan+UBSan: zeeklog, factor-graph and detector unit tests ==="
   cmake -B build-asan -S . -DAT_SANITIZE=address,undefined \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build build-asan -j "$JOBS" --target at_tests > /dev/null \
@@ -98,7 +98,7 @@ else
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/at_tests \
-      --gtest_filter='ZeekLog*:ZeeklogMalformed*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:EntityFilter*:*EntityFilterTiming*:*EntityIncrementalOracle*:*IncrementalStream*:*IncrementalTreeExactness*' \
+      --gtest_filter='ZeekLog*:ZeeklogMalformed*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:EntityFilter*:*EntityFilterTiming*:*EntityIncrementalOracle*:*IncrementalStream*:*IncrementalTreeExactness*:RuleBasedDetector*:FgAllocation.WarmForwardDetectorObserveAllocatesNothing' \
     || fail "sanitized tests"
 
   echo "=== [5/5] TSan: epoch reclamation + concurrent BHR readers ==="
