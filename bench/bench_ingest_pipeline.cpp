@@ -1,12 +1,16 @@
 // Ingest-path throughput: the serial seed path (read_notice_log building
-// an owning Alert per line, then AlertPipeline one alert at a time) vs the
-// batched path (parse_notice_batch zero-copy columns into a
-// ShardedAlertPipeline). ~1M synthetic notice lines are generated from the
-// daily background-noise model plus incident timelines, serialized once,
-// and both paths parse + detect from the identical log text. Emits JSON
-// (default BENCH_ingest.json at the repo root) to seed the perf
-// trajectory, and verifies the sharded path's notification output is
-// byte-identical to the serial pipeline's before reporting any speedup.
+// an owning Alert per line, then AlertPipeline one alert at a time, each
+// entity's FactorGraphDetector compiling its own parameter tables) vs the
+// batched path (parse_notice_batch zero-copy columns submitted to a
+// DetectionDaemon, drained to idle, verdicts collected; one compiled table
+// set shared by every entity). ~1M synthetic notice lines are generated
+// from the daily background-noise model plus incident timelines,
+// serialized once, and both paths parse + detect from the identical log
+// text. Emits JSON (default BENCH_ingest.json at the repo root) and exits 1
+// unless the daemon's verdict stream is byte-identical to the serial
+// pipeline's at every shard count. speedup_vs_serial therefore includes the
+// serial side's per-entity table recompilation, not only sharding and
+// zero-copy parsing.
 //
 // Standalone main (not google-benchmark): the artifact is a machine-
 // readable JSON file, produced in one deliberate pass per configuration.
@@ -15,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,7 +30,7 @@
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
 #include "incidents/noise.hpp"
-#include "testbed/sharded_pipeline.hpp"
+#include "testbed/daemon.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -81,12 +86,12 @@ void add_detectors_compiled(auto& pipeline, const fg::ModelParams& params) {
   });
 }
 
-std::string render_notifications(const std::vector<testbed::Notification>& notes) {
+std::string render(util::SimTime ts, const std::string& entity, const std::string& detector,
+                   const std::string& reason, double score,
+                   const std::optional<net::Ipv4>& source) {
   std::ostringstream out;
-  for (const auto& note : notes) {
-    out << note.ts << '\t' << note.entity << '\t' << note.detector << '\t' << note.reason
-        << '\t' << note.score << '\t' << (note.source ? note.source->str() : "-") << '\n';
-  }
+  out << ts << '\t' << entity << '\t' << detector << '\t' << reason << '\t' << score
+      << '\t' << (source ? source->str() : "-") << '\n';
   return out.str();
 }
 
@@ -108,26 +113,33 @@ RunResult run_serial(const std::string& log_text, const fg::ModelParams& params)
   result.seconds = seconds_since(start);
   result.notifications = pipeline.notifications().size();
   result.kept = pipeline.alerts_after_filter();
-  result.rendered = render_notifications(pipeline.notifications());
+  for (const auto& note : pipeline.notifications()) {
+    result.rendered +=
+        render(note.ts, note.entity, note.detector, note.reason, note.score, note.source);
+  }
   return result;
 }
 
-RunResult run_sharded(const std::string& log_text, const fg::ModelParams& params,
-                      std::size_t shards) {
+RunResult run_daemon(const std::string& log_text, const fg::ModelParams& params,
+                     std::size_t shards) {
   const auto start = Clock::now();
   const auto batch = alerts::parse_notice_batch(log_text);  // copy is timed: same input
-  testbed::ShardedPipelineConfig config;
+  testbed::DaemonConfig config;
   config.shards = shards;
   bhr::BlackHoleRouter router;
-  testbed::ShardedAlertPipeline pipeline(config, &router);
-  add_detectors_compiled(pipeline, params);
-  pipeline.ingest(batch);
-  pipeline.flush();
+  testbed::DetectionDaemon daemon(config, &router);
+  add_detectors_compiled(daemon, params);
+  for (std::size_t row = 0; row < batch.size(); ++row) daemon.submit(batch, row);
+  daemon.drain_idle();
+  const auto verdicts = daemon.drain_alerts(alerts::DaemonAlert::kVerdict);
   RunResult result;
   result.seconds = seconds_since(start);
-  result.notifications = pipeline.notifications().size();
-  result.kept = pipeline.alerts_after_filter();
-  result.rendered = render_notifications(pipeline.notifications());
+  result.notifications = verdicts.size();
+  result.kept = daemon.stats().kept;
+  for (const auto& alert : verdicts) {
+    const auto& v = static_cast<const alerts::VerdictAlert&>(*alert);
+    result.rendered += render(v.ts, v.entity, v.detector, v.reason, v.score, v.source);
+  }
   return result;
 }
 
@@ -173,7 +185,7 @@ int main(int argc, char** argv) {
   double speedup_8 = 0.0;
   bool first = true;
   for (const std::size_t shards : {1, 2, 4, 8}) {
-    const auto run = run_sharded(log_text, params, shards);
+    const auto run = run_daemon(log_text, params, shards);
     const bool identical = run.rendered == serial.rendered && run.kept == serial.kept;
     all_identical = all_identical && identical;
     const double speedup = serial.seconds / run.seconds;

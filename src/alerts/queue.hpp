@@ -26,9 +26,9 @@
 
 namespace at::alerts {
 
-/// Live counter snapshot of a DetectionDaemon (and of the batch facades
-/// wrapping one). Value semantics, named fields, to_table() — the snapshot
-/// convention shared with sim::Engine::Stats and testbed::Testbed::Stats.
+/// Live counter snapshot of a DetectionDaemon. Value semantics, named
+/// fields, to_table() — the snapshot convention shared with
+/// sim::Engine::Stats and testbed::Testbed::Stats.
 struct DaemonStats {
   std::uint64_t submitted = 0;   ///< alerts accepted into the pipeline
   std::uint64_t kept = 0;        ///< survived the periodic-scan filter

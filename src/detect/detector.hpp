@@ -17,7 +17,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -49,19 +48,6 @@ class Detector {
   /// implementation for blocking calls and defaulted atomic orders.
   virtual std::optional<Detection> observe(const alerts::Alert& alert,
                                            std::size_t index) = 0;
-  /// Absorb a run of consecutive alerts of this stream (pointers into the
-  /// caller's batch; alert i gets index first_index + i). Returns the
-  /// first detection and stops — exactly what feeding the run through
-  /// observe() one alert at a time yields, since a fired stream ignores
-  /// the remainder anyway. Stateful detectors may override to amortize
-  /// per-call overhead across the run.
-  virtual std::optional<Detection> observe_batch(
-      std::span<const alerts::Alert* const> alerts, std::size_t first_index) {
-    for (std::size_t i = 0; i < alerts.size(); ++i) {
-      if (auto detection = observe(*alerts[i], first_index + i)) return detection;
-    }
-    return std::nullopt;
-  }
 };
 
 /// Fires on the first of the paper's 19 critical alert types.

@@ -1,7 +1,5 @@
 #include "detect/session_pipeline.hpp"
 
-#include <algorithm>
-
 namespace at::detect {
 
 std::optional<SessionDetection> SessionPipeline::on_alert(const alerts::Alert& alert) {
@@ -24,76 +22,6 @@ std::optional<SessionDetection> SessionPipeline::on_alert(const alerts::Alert& a
   if (session != nullptr) out.account = session->account;
   out.detection = *detection;
   detections_.push_back(out);
-  return out;
-}
-
-std::vector<SessionDetection> SessionPipeline::on_batch(
-    std::span<const alerts::Alert> alerts) {
-  // Sessionize in arrival order, grouping each session's run while
-  // remembering every alert's global position for order restoration.
-  struct Group {
-    std::uint32_t session_id = 0;
-    std::vector<const alerts::Alert*> items;
-    std::vector<std::size_t> positions;
-  };
-  std::vector<Group> groups;
-  std::unordered_map<std::uint32_t, std::size_t> group_of;
-  for (std::size_t i = 0; i < alerts.size(); ++i) {
-    const std::uint32_t session_id = sessionizer_.ingest(alerts[i]);
-    const auto [it, fresh] = group_of.try_emplace(session_id, groups.size());
-    if (fresh) {
-      groups.emplace_back();
-      groups.back().session_id = session_id;
-    }
-    Group& group = groups[it->second];
-    group.items.push_back(&alerts[i]);
-    group.positions.push_back(i);
-  }
-
-  struct Pending {
-    std::size_t position = 0;
-    SessionDetection detection;
-  };
-  std::vector<Pending> fired;
-  for (const Group& group : groups) {
-    auto it = states_.find(group.session_id);
-    if (it == states_.end()) {
-      SessionState state;
-      state.detector = factory_();
-      state.detector->reset();
-      it = states_.emplace(group.session_id, std::move(state)).first;
-    }
-    SessionState& state = it->second;
-    if (state.fired) continue;
-    const std::size_t base = state.index;
-    const auto detection = state.detector->observe_batch(
-        {group.items.data(), group.items.size()}, base);
-    if (!detection) {
-      state.index = base + group.items.size();
-      continue;
-    }
-    // Same bookkeeping on_alert leaves behind: the index stops advancing
-    // at the firing alert and the session is muted from then on.
-    const std::size_t offset = detection->alert_index - base;
-    state.index = base + offset + 1;
-    state.fired = true;
-    SessionDetection out;
-    out.session_id = group.session_id;
-    const auto* session = sessionizer_.find(group.session_id);
-    if (session != nullptr) out.account = session->account;
-    out.detection = *detection;
-    fired.push_back(Pending{group.positions[offset], std::move(out)});
-  }
-
-  // Restore global arrival order across sessions.
-  std::sort(fired.begin(), fired.end(),
-            [](const Pending& a, const Pending& b) { return a.position < b.position; });
-  std::vector<SessionDetection> out;
-  out.reserve(fired.size());
-  for (Pending& pending : fired) {
-    detections_.push_back(pending.detection);
-    out.push_back(std::move(pending.detection));
-  }
   return out;
 }
 

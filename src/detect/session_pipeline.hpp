@@ -8,7 +8,6 @@
 // fragments.
 
 #include <memory>
-#include <span>
 
 #include "detect/detector.hpp"
 #include "detect/sessionizer.hpp"
@@ -29,13 +28,6 @@ class SessionPipeline {
 
   /// Feed one alert; returns a detection the first time its session fires.
   std::optional<SessionDetection> on_alert(const alerts::Alert& alert);
-
-  /// Feed a batch of time-ordered alerts in one pass: alerts are grouped
-  /// per session so each session's detector sees its whole run through one
-  /// observe_batch() call (amortizing per-alert engine overhead), and the
-  /// detections come back in global arrival order — the same stream
-  /// on_alert would produce fed one alert at a time.
-  std::vector<SessionDetection> on_batch(std::span<const alerts::Alert> alerts);
 
   [[nodiscard]] const AttackSessionizer& sessionizer() const noexcept {
     return sessionizer_;

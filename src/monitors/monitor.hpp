@@ -6,8 +6,8 @@
 // monitors; per-host tampering therefore silences that host's events on
 // the tampered monitor only.
 //
-// Monitors may emit from different threads (the sharded pipeline sink is
-// itself serialized), so the tamper set and counters are guarded by an
+// Monitors may emit from different threads (the detection daemon's sink
+// is itself serialized), so the tamper set and counters are guarded by an
 // annotated mutex; the sink call happens outside the lock to keep the
 // lock order Monitor -> sink one-way.
 

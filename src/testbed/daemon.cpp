@@ -25,6 +25,12 @@ constexpr std::uint64_t kUserTag = 0x75736572ULL;
 constexpr unsigned kMaxParkMicros = 1000;
 constexpr unsigned kYieldRounds = 16;
 
+// Per-shard outbound verdict ring slots. pump() releases a kept alert's
+// verdicts only as a complete group (the frontier is per-op), so one op's
+// verdicts — at most one per detector family — must fit the ring together
+// or its worker could stall with nothing releasable.
+constexpr std::size_t kOutboundCapacity = 4096;
+
 }  // namespace
 
 const char* to_string(SubmitResult result) noexcept {
@@ -41,15 +47,10 @@ DetectionDaemon::DetectionDaemon(DaemonConfig config, bhr::BlackHoleRouter* rout
     : config_(config), router_(router), filter_(config.pipeline.scan_filter_window) {
   if (config_.shards == 0) config_.shards = 1;
   if (config_.ring_capacity < 2) config_.ring_capacity = 2;
-  // pump() releases a kept alert's verdicts only as a complete group (the
-  // frontier is per-op), so one op's verdicts — at most one per detector
-  // family — must fit the outbound ring or its worker could stall with
-  // nothing releasable. 64 families is far beyond any real deployment.
-  if (config_.outbound_capacity < 64) config_.outbound_capacity = 64;
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     shards_.push_back(
-        std::make_unique<Shard>(i, config_.ring_capacity, config_.outbound_capacity));
+        std::make_unique<Shard>(i, config_.ring_capacity, kOutboundCapacity));
   }
 }
 
@@ -337,8 +338,7 @@ void DetectionDaemon::process(Shard& shard, const Factories& factories,
     out.note.reason = std::move(detection->reason);
     out.note.score = detection->score;
     out.note.source = alert.src ? alert.src : state.last_src;
-    if (router_ != nullptr && out.note.source &&
-        out.note.score >= config_.pipeline.block_score_floor) {
+    if (router_ != nullptr && out.note.source) {
       out.wants_block = true;
       out.block_reason = factories[d].first + ": " + out.note.reason;
     }

@@ -1,7 +1,7 @@
 #pragma once
 // Always-on detection daemon: the streaming redesign of the sharded alert
-// pipeline (docs/daemon.md). Producers (monitors, log tailers, the batch
-// facades) submit raw alerts; a lock-serialized coordinator runs the
+// pipeline (docs/daemon.md). Producers (monitors, log tailers, batch
+// replays) submit raw alerts; a lock-serialized coordinator runs the
 // shared-state periodic-scan filter and routes kept alerts into per-shard
 // bounded SPSC rings; one dedicated worker thread per shard drains its
 // ring continuously, running the per-entity detector stack; and every
@@ -27,6 +27,10 @@
 // broadcast as in-ring entries to every shard, so each shard applies them
 // exactly where the serial pipeline would have, restricted to its entity
 // partition.
+//
+// Batch use is three calls: submit() every alert (or batch row),
+// drain_idle(), then drain_alerts(DaemonAlert::kVerdict) — the verdicts
+// of the whole batch in global arrival order.
 //
 // Thread roles:
 //   - submitters: any threads; serialized by mu_.
@@ -70,10 +74,6 @@ struct DaemonConfig {
   /// the producer-visible backpressure horizon: at most this many alerts
   /// per shard are in flight between submit and detection.
   std::size_t ring_capacity = 8192;
-  /// Per-shard outbound verdict ring slots. Floored at 64: one kept
-  /// alert's verdicts (one per detector family) release as a group, so
-  /// they must fit the ring together.
-  std::size_t outbound_capacity = 4096;
 };
 
 /// Producer-side result of a non-blocking submit.
@@ -115,8 +115,7 @@ class DetectionDaemon final : public alerts::AlertSink {
   SubmitResult try_submit(alerts::Alert&& alert) AT_ACQUIRES(mu_);
   /// Zero-copy submit of one parsed batch row; the row is materialized by
   /// the owning shard only if the filter keeps it. The batch must stay
-  /// alive and unmodified until drain_idle() returns (the batch facades
-  /// guarantee this).
+  /// alive and unmodified until drain_idle() returns.
   SubmitResult try_submit(const alerts::AlertBatch& batch, std::size_t row)
       AT_ACQUIRES(mu_);
 

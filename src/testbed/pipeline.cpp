@@ -68,7 +68,7 @@ void AlertPipeline::on_alert(const alerts::Alert& alert) {
     // recent external peer (the attacker's entry address).
     note.source = alert.src ? alert.src : state.last_src;
     notifications_.push_back(note);
-    if (router_ != nullptr && note.source && detection->score >= config_.block_score_floor) {
+    if (router_ != nullptr && note.source) {
       router_->block(*note.source, alert.ts, config_.block_ttl,
                      state.names[d] + ": " + detection->reason, "attacktagger-pipeline");
     }

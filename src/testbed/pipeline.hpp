@@ -35,8 +35,6 @@ struct PipelineConfig {
   util::SimTime scan_filter_window = util::kHour;
   /// TTL for automatic BHR blocks (the response to detections).
   util::SimTime block_ttl = 24 * util::kHour;
-  /// Only block when the firing detector reports at least this score.
-  double block_score_floor = 0.0;
   /// Entities idle longer than this are evicted (their detector state is
   /// discarded). Keeps per-entity memory bounded under production volume
   /// (tens of thousands of distinct sources per day). 0 disables eviction.
@@ -65,7 +63,7 @@ class AlertPipeline final : public alerts::AlertSink {
   [[nodiscard]] const incidents::ScanFilter& filter() const noexcept { return filter_; }
 
   /// Demux key: one attack entity per substream (host first, then source
-  /// address, then user). Shared with ShardedAlertPipeline, whose shard
+  /// address, then user). Shared with DetectionDaemon, whose shard
   /// assignment must agree with this keying exactly.
   [[nodiscard]] static std::string entity_key(const alerts::Alert& alert);
 

@@ -114,40 +114,6 @@ TEST_P(IncrementalVerdictOracle, FullAndIncrementalAgreeOnEveryVerdict) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalVerdictOracle, ::testing::Range(0, 5));
 
-class BatchEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(BatchEquivalence, OnBatchMatchesOnAlertStream) {
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 131071 + 9);
-  const double threshold = 0.75;
-  const auto trace = random_trace(rng, /*accounts=*/5, /*length=*/160);
-
-  SessionPipeline serial(factory_for(FgInference::kEntityIncremental, threshold));
-  SessionPipeline batched(factory_for(FgInference::kEntityIncremental, threshold));
-  for (const Alert& alert : trace) serial.on_alert(alert);
-  // Feed the same stream in uneven batches.
-  std::size_t i = 0;
-  while (i < trace.size()) {
-    const std::size_t len =
-        std::min<std::size_t>(trace.size() - i,
-                              1 + static_cast<std::size_t>(rng.uniform_int(0, 40)));
-    batched.on_batch(std::span<const Alert>(trace.data() + i, len));
-    i += len;
-  }
-
-  const auto& a = serial.detections();
-  const auto& b = batched.detections();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t d = 0; d < a.size(); ++d) {
-    EXPECT_EQ(a[d].session_id, b[d].session_id);
-    EXPECT_EQ(a[d].account, b[d].account);
-    EXPECT_EQ(a[d].detection.alert_index, b[d].detection.alert_index);
-    EXPECT_EQ(a[d].detection.ts, b[d].detection.ts);
-    EXPECT_DOUBLE_EQ(a[d].detection.score, b[d].detection.score);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchEquivalence, ::testing::Range(0, 5));
-
 TEST(FgInferenceModes, NamesAndResetBehaviour) {
   FactorGraphDetector inc(compiled(), 0.75, alerts::AttackStage::kInProgress, false,
                           FgInference::kEntityIncremental);

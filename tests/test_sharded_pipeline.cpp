@@ -1,8 +1,10 @@
-// ShardedAlertPipeline determinism: any shard count must reproduce the
+// Sharded DetectionDaemon determinism: any shard count must reproduce the
 // serial AlertPipeline exactly — notifications, BHR audit trail, and
-// counters — on a realistic day of noise + incidents. Plus the batch-parse
-// property: parse_notice_batch agrees with parse_notice_line on every line,
-// including malformed, comment, and blank ones.
+// counters — on a realistic day of noise + incidents, driven through the
+// daemon's batch recipe (submit everything, drain_idle, drain the verdicts).
+// Plus the batch-parse property: parse_notice_batch agrees with
+// parse_notice_line on every line, including malformed, comment, and blank
+// ones.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +18,7 @@
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
 #include "incidents/noise.hpp"
-#include "testbed/sharded_pipeline.hpp"
+#include "testbed/daemon.hpp"
 
 namespace at::testbed {
 namespace {
@@ -91,24 +93,28 @@ const SerialRun& serial_run() {
   return run;
 }
 
-void expect_matches_serial(const ShardedAlertPipeline& pipeline,
-                           const bhr::BlackHoleRouter& router) {
+/// Waits for the daemon to go idle, then checks its released verdicts, BHR
+/// audit trail and counters against the serial run.
+void expect_matches_serial(DetectionDaemon& daemon, const bhr::BlackHoleRouter& router) {
+  daemon.drain_idle();
+  const auto verdicts = daemon.drain_alerts(alerts::DaemonAlert::kVerdict);
+  const auto stats = daemon.stats();
   const SerialRun& serial = serial_run();
-  EXPECT_EQ(pipeline.alerts_in(), serial.alerts_in);
-  EXPECT_EQ(pipeline.alerts_after_filter(), serial.kept);
-  EXPECT_EQ(pipeline.tracked_entities(), serial.tracked);
-  EXPECT_EQ(pipeline.evicted_entities(), serial.evicted);
+  EXPECT_EQ(stats.submitted, serial.alerts_in);
+  EXPECT_EQ(stats.kept, serial.kept);
+  EXPECT_EQ(stats.tracked_entities, serial.tracked);
+  EXPECT_EQ(stats.evicted_entities, serial.evicted);
 
-  const auto& notes = pipeline.notifications();
-  ASSERT_EQ(notes.size(), serial.notifications.size());
-  for (std::size_t i = 0; i < notes.size(); ++i) {
+  ASSERT_EQ(verdicts.size(), serial.notifications.size());
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
     SCOPED_TRACE("notification " + std::to_string(i));
-    EXPECT_EQ(notes[i].ts, serial.notifications[i].ts);
-    EXPECT_EQ(notes[i].entity, serial.notifications[i].entity);
-    EXPECT_EQ(notes[i].detector, serial.notifications[i].detector);
-    EXPECT_EQ(notes[i].reason, serial.notifications[i].reason);
-    EXPECT_EQ(notes[i].score, serial.notifications[i].score);
-    EXPECT_EQ(notes[i].source, serial.notifications[i].source);
+    const auto& note = static_cast<const alerts::VerdictAlert&>(*verdicts[i]);
+    EXPECT_EQ(note.ts, serial.notifications[i].ts);
+    EXPECT_EQ(note.entity, serial.notifications[i].entity);
+    EXPECT_EQ(note.detector, serial.notifications[i].detector);
+    EXPECT_EQ(note.reason, serial.notifications[i].reason);
+    EXPECT_EQ(note.score, serial.notifications[i].score);
+    EXPECT_EQ(note.source, serial.notifications[i].source);
   }
 
   const auto& audit = router.audit_log();
@@ -126,40 +132,37 @@ void expect_matches_serial(const ShardedAlertPipeline& pipeline,
 class ShardedDeterminismTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ShardedDeterminismTest, SpanIngestMatchesSerial) {
-  ShardedPipelineConfig config;
+  DaemonConfig config;
   config.shards = GetParam();
   bhr::BlackHoleRouter router;
-  ShardedAlertPipeline pipeline(config, &router);
-  add_detectors(pipeline);
-  pipeline.ingest(corpus_100k());
-  pipeline.flush();
-  EXPECT_EQ(pipeline.shard_count(), GetParam());
-  expect_matches_serial(pipeline, router);
+  DetectionDaemon daemon(config, &router);
+  add_detectors(daemon);
+  for (const auto& alert : corpus_100k()) daemon.submit(alert);
+  EXPECT_EQ(daemon.shard_count(), GetParam());
+  expect_matches_serial(daemon, router);
 }
 
 TEST_P(ShardedDeterminismTest, BatchIngestMatchesSerial) {
   const auto batch = alerts::parse_notice_batch(alerts::write_notice_log(corpus_100k()));
   ASSERT_EQ(batch.size(), corpus_100k().size());
-  ShardedPipelineConfig config;
+  DaemonConfig config;
   config.shards = GetParam();
   bhr::BlackHoleRouter router;
-  ShardedAlertPipeline pipeline(config, &router);
-  add_detectors(pipeline);
-  pipeline.ingest(batch);
-  pipeline.flush();
-  expect_matches_serial(pipeline, router);
+  DetectionDaemon daemon(config, &router);
+  add_detectors(daemon);
+  for (std::size_t row = 0; row < batch.size(); ++row) daemon.submit(batch, row);
+  expect_matches_serial(daemon, router);
 }
 
 TEST_P(ShardedDeterminismTest, StreamingSinkMatchesSerial) {
-  ShardedPipelineConfig config;
+  DaemonConfig config;
   config.shards = GetParam();
-  config.batch_size = 1000;  // force many intermediate drains
+  config.ring_capacity = 1000;  // small rings: submits wait out full rings
   bhr::BlackHoleRouter router;
-  ShardedAlertPipeline pipeline(config, &router);
-  add_detectors(pipeline);
-  for (const auto& alert : corpus_100k()) pipeline.on_alert(alert);
-  pipeline.flush();
-  expect_matches_serial(pipeline, router);
+  DetectionDaemon daemon(config, &router);
+  add_detectors(daemon);
+  for (const auto& alert : corpus_100k()) daemon.on_alert(alert);
+  expect_matches_serial(daemon, router);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedDeterminismTest, ::testing::Values(1, 2, 8));

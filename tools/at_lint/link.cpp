@@ -47,13 +47,11 @@ std::string_view last_component(std::string_view name) {
   return pos == std::string_view::npos ? name : name.substr(pos + 2);
 }
 
-/// Intrinsic hot roots: the sim::Engine drain loops and the shard drain.
+/// Intrinsic hot roots: the sim::Engine drain loops. (The daemon's shard
+/// drain carries AT_HOT itself.)
 bool intrinsic_hot_root(std::string_view path, std::string_view last) {
-  if (starts_with(path, "src/sim/") &&
-      (last == "run" || last == "run_until" || last == "step")) {
-    return true;
-  }
-  return starts_with(path, "src/") && last == "run_shard";
+  return starts_with(path, "src/sim/") &&
+         (last == "run" || last == "run_until" || last == "step");
 }
 
 }  // namespace

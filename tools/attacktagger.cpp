@@ -8,14 +8,16 @@
 //   attacktagger train   --out FILE [--seed N]
 //       learn factor-graph parameters and save them (versioned format).
 //   attacktagger detect  --model FILE --log FILE [--threshold P] [--shards N]
-//       stream a notice log through per-entity detectors; print pages.
-//       With --shards N the log is batch-parsed (zero copy) and run through
-//       the sharded pipeline (scan filter + BHR blocking, N entity shards).
+//       batch-parse a notice log (zero copy) into the DetectionDaemon (scan
+//       filter, per-entity detectors, BHR blocking; N entity shards,
+//       default 1) and print the pages. Output after the header line is
+//       identical for every shard count.
 //   attacktagger daemon  --model FILE --log FILE [--threshold P] [--shards N]
 //                        [--ring SLOTS]
 //       replay a notice log through the always-on DetectionDaemon,
-//       printing typed alerts (verdicts, BHR actions, checkpoints,
-//       lifecycle) as they drain, then the counter table (docs/daemon.md).
+//       printing verdicts and BHR actions as they release, then the
+//       operational alerts (checkpoints, lifecycle, stats) and the counter
+//       table (docs/daemon.md).
 //   attacktagger fig1    --out DIR
 //       build the Figure 1 graph, lay it out, export DOT/GEXF/CSV.
 //   attacktagger replay
@@ -39,7 +41,6 @@
 #include "incidents/report.hpp"
 #include "replay/ransomware.hpp"
 #include "testbed/daemon.hpp"
-#include "testbed/sharded_pipeline.hpp"
 #include "util/parse.hpp"
 #include "util/strings.hpp"
 #include "viz/export.hpp"
@@ -159,89 +160,59 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_detect(const std::map<std::string, std::string>& flags) {
-  const auto model_text = read_file(flag(flags, "model", "model.attacktagger"));
-  const auto params = fg::read_params(model_text);
+/// Register the --model factor-graph detector (paging at --threshold) on
+/// the daemon; false after printing an error if the model is invalid.
+bool add_model_detector(const std::map<std::string, std::string>& flags,
+                        testbed::DetectionDaemon& daemon) {
+  const auto params = fg::read_params(read_file(flag(flags, "model", "model.attacktagger")));
   if (!params) {
     std::fprintf(stderr, "error: model file is not a valid attacktagger model\n");
-    return 1;
+    return false;
   }
   const double threshold = num_flag<double>(flags, "threshold", "0.75");
-  auto log_text = read_file(flag(flags, "log", "notices.log"));
+  auto compiled = fg::compile_params(*params);
+  daemon.add_detector("factor-graph", [compiled, threshold] {
+    return std::make_unique<detect::FactorGraphDetector>(compiled, threshold);
+  });
+  return true;
+}
 
-  const std::size_t shards = num_flag<std::size_t>(flags, "shards", "0");
-  if (shards > 0) {
-    // Batch path: zero-copy parse into the sharded pipeline, which adds
-    // the periodic-scan filter and BHR blocking the live testbed runs.
-    const auto batch = alerts::parse_notice_batch(std::move(log_text));
-    std::printf("loaded model; %zu notices (%zu malformed); %zu shards\n", batch.size(),
-                batch.malformed, shards);
-    testbed::ShardedPipelineConfig config;
-    config.shards = shards;
-    bhr::BlackHoleRouter router;
-    testbed::ShardedAlertPipeline pipeline(config, &router);
-    auto compiled = fg::compile_params(*params);
-    pipeline.add_detector("factor-graph", [compiled, threshold] {
-      return std::make_unique<detect::FactorGraphDetector>(compiled, threshold);
-    });
-    pipeline.ingest(batch);
-    pipeline.flush();
-    for (const auto& note : pipeline.notifications()) {
-      std::printf("PAGE %s entity=%s %s\n", util::format_datetime(note.ts).c_str(),
-                  note.entity.c_str(), note.reason.c_str());
-    }
-    std::printf("%llu kept of %llu alerts, %zu entities, %zu pages, %zu BHR calls\n",
-                static_cast<unsigned long long>(pipeline.alerts_after_filter()),
-                static_cast<unsigned long long>(pipeline.alerts_in()),
-                pipeline.tracked_entities(), pipeline.notifications().size(),
-                router.audit_log().size());
-    return 0;
+int cmd_detect(const std::map<std::string, std::string>& flags) {
+  testbed::DaemonConfig config;
+  config.shards = num_flag<std::size_t>(flags, "shards", "1");
+  bhr::BlackHoleRouter router;
+  testbed::DetectionDaemon daemon(config, &router);
+  if (!add_model_detector(flags, daemon)) return 1;
+  // Zero-copy parse into the daemon, which runs the periodic-scan filter,
+  // entity eviction and BHR blocking of the live testbed.
+  const auto batch = alerts::parse_notice_batch(read_file(flag(flags, "log", "notices.log")));
+  std::printf("loaded model; %zu notices (%zu malformed); %zu shards\n", batch.size(),
+              batch.malformed, daemon.shard_count());
+  for (std::size_t row = 0; row < batch.size(); ++row) daemon.submit(batch, row);
+  daemon.drain_idle();
+  const auto verdicts = daemon.drain_alerts(alerts::DaemonAlert::kVerdict);
+  for (const auto& alert : verdicts) {
+    const auto& verdict = static_cast<const alerts::VerdictAlert&>(*alert);
+    std::printf("PAGE %s entity=%s %s\n", util::format_datetime(verdict.ts).c_str(),
+                verdict.entity.c_str(), verdict.reason.c_str());
   }
-
-  const auto log = alerts::read_notice_log(log_text);
-  std::printf("loaded model; %zu notices (%zu malformed)\n", log.alerts.size(),
-              log.malformed);
-
-  // Per-entity streams, keyed like the live pipeline (host first).
-  std::map<std::string, detect::FactorGraphDetector> entities;
-  std::map<std::string, std::size_t> indices;
-  std::size_t pages = 0;
-  for (const auto& alert : log.alerts) {
-    const std::string key = !alert.host.empty()
-                                ? alert.host
-                                : (alert.src ? alert.src->str() : alert.user);
-    auto [it, inserted] = entities.try_emplace(key, *params, threshold);
-    const auto detection = it->second.observe(alert, indices[key]++);
-    if (detection) {
-      ++pages;
-      std::printf("PAGE %s entity=%s %s\n", util::format_datetime(alert.ts).c_str(),
-                  key.c_str(), detection->reason.c_str());
-    }
-  }
-  std::printf("%zu entities, %zu pages\n", entities.size(), pages);
+  const auto stats = daemon.stats();
+  std::printf("%llu kept of %llu alerts, %llu entities, %zu pages, %zu BHR calls\n",
+              static_cast<unsigned long long>(stats.kept),
+              static_cast<unsigned long long>(stats.submitted),
+              static_cast<unsigned long long>(stats.tracked_entities), verdicts.size(),
+              router.audit_log().size());
   return 0;
 }
 
 int cmd_daemon(const std::map<std::string, std::string>& flags) {
-  const auto model_text = read_file(flag(flags, "model", "model.attacktagger"));
-  const auto params = fg::read_params(model_text);
-  if (!params) {
-    std::fprintf(stderr, "error: model file is not a valid attacktagger model\n");
-    return 1;
-  }
-  const double threshold = num_flag<double>(flags, "threshold", "0.75");
-  auto log_text = read_file(flag(flags, "log", "notices.log"));
-  const auto batch = alerts::parse_notice_batch(std::move(log_text));
-
   testbed::DaemonConfig config;
   config.shards = num_flag<std::size_t>(flags, "shards", "8");
   config.ring_capacity = num_flag<std::size_t>(flags, "ring", "8192");
   bhr::BlackHoleRouter router;
   testbed::DetectionDaemon daemon(config, &router);
-  auto compiled = fg::compile_params(*params);
-  daemon.add_detector("factor-graph", [compiled, threshold] {
-    return std::make_unique<detect::FactorGraphDetector>(compiled, threshold);
-  });
+  if (!add_model_detector(flags, daemon)) return 1;
+  const auto batch = alerts::parse_notice_batch(read_file(flag(flags, "log", "notices.log")));
 
   std::printf("replaying %zu notices (%zu malformed) through %zu shards\n",
               batch.size(), batch.malformed, daemon.shard_count());
@@ -253,15 +224,18 @@ int cmd_daemon(const std::map<std::string, std::string>& flags) {
     }
     return printed;
   };
-  // Blocking submits (a replay never drops); drain the operator queue
-  // periodically the way a live console would, instead of once at the end.
+  // Blocking submits (a replay never drops); drain verdicts and BHR actions
+  // periodically the way a live console would. These release in seq order,
+  // so the printed stream does not depend on shard timing; the operational
+  // categories (checkpoints, lifecycle, stats) print once the daemon stops.
+  constexpr std::uint32_t kResults = alerts::DaemonAlert::kVerdict | alerts::DaemonAlert::kBhr;
   std::size_t typed_alerts = 0;
   for (std::size_t row = 0; row < batch.size(); ++row) {
     daemon.submit(batch, row);
-    if ((row + 1) % 4096 == 0) typed_alerts += print_drained(alerts::DaemonAlert::kAllCategories);
+    if ((row + 1) % 4096 == 0) typed_alerts += print_drained(kResults);
   }
-  daemon.drain_idle();
   daemon.stop();
+  typed_alerts += print_drained(kResults);
   typed_alerts += print_drained(alerts::DaemonAlert::kAllCategories);
 
   std::printf("\n%zu typed alerts drained; %zu BHR audit entries\n%s", typed_alerts,

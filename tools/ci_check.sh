@@ -18,7 +18,8 @@
 #   5. sanitizers          build-asan/      AT_SANITIZE=address,undefined,
 #                          then the zeeklog/fg gtest suites under ASan+UBSan;
 #                          build-tsan/      AT_SANITIZE=thread, then the
-#                          epoch-reclamation + concurrent-BHR suites
+#                          epoch-reclamation, concurrent-BHR and
+#                          detection-daemon suites
 
 set -euo pipefail
 
@@ -101,16 +102,18 @@ else
       --gtest_filter='ZeekLog*:ZeeklogMalformed*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:EntityFilter*:*EntityFilterTiming*:*EntityIncrementalOracle*:*IncrementalStream*:*IncrementalTreeExactness*:RuleBasedDetector*:FgAllocation.WarmForwardDetectorObserveAllocatesNothing' \
     || fail "sanitized tests"
 
-  echo "=== [5/5] TSan: epoch reclamation + concurrent BHR readers ==="
+  echo "=== [5/5] TSan: epoch reclamation, concurrent BHR readers, detection daemon ==="
   # The lock-free read path's race coverage: a missing acquire/release edge
   # in the trie's COW publishes or the epoch pin protocol shows up here.
+  # The daemon suites cover the SPSC rings, the shard workers and the
+  # seq-ordered merge against the serial oracle.
   cmake -B build-tsan -S . -DAT_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build build-tsan -j "$JOBS" --target at_tests > /dev/null \
     || fail "tsan build"
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/at_tests \
-      --gtest_filter='Epoch*:BhrConcurrent*:LpmTrie*' \
+      --gtest_filter='Epoch*:BhrConcurrent*:LpmTrie*:SpscRing*:Daemon*:AlertQueue*:*ShardedDeterminism*' \
     || fail "tsan tests"
 fi
 
